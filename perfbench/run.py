@@ -8,7 +8,7 @@ directory is built against the repository's crates into
 $CARGO_TARGET_DIR (default: .bench_build). The last line of standard
 output is the result: {"correct", "attempted", "failed", "metrics"}, with
 the end-to-end metrics of BENCHMARK.json when --trace 0 and the
-per-layer ones when --trace 1. A traced run also writes its spans next
+per-layer ones when --trace 1, each with the unit BENCHMARK.json gives. A traced run also writes its spans next
 to the binary. Exits non-zero, without a result line, if the build fails
 or the result does not name exactly the metrics BENCHMARK.json lists.
 """
@@ -73,10 +73,11 @@ def main():
 
     result = json.loads(lines[-1])
     want = spec["per_layer" if args.trace == "1" else "end_to_end"]
-    got = {k: v["unit"] for k, v in result["metrics"].items()}
-    if got != {m["name"]: m["unit"] for m in want}:
+    values = result["metrics"]
+    if set(values) != {m["name"] for m in want}:
         fail("reported metrics differ from BENCHMARK.json")
-    print(lines[-1], flush=True)
+    result["metrics"] = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in want}
+    print(json.dumps(result), flush=True)
 
 
 if __name__ == "__main__":
