@@ -56,7 +56,7 @@ def main():
         fail("build failed")
 
     cmd = [os.path.join(target, "release", "perfbench"),
-           "--workload", args.workload, "--seed", str(args.seed),
+           "--workload", args.workload, "--seed", str(args.seed % 2**64),
            "--seconds", str(args.seconds), "--trace", args.trace]
     if args.trace == "1":
         cmd += ["--spans", os.path.join(target, f"spans-{args.workload}-{args.seed}.json")]
