@@ -49,7 +49,6 @@ impl Timing {
 pub struct Windowed {
     pub throughput_rps: f64,
     pub p50_ms: f64,
-    pub p90_ms: f64,
 }
 
 /// What one load phase saw, from the client's side.
@@ -90,7 +89,7 @@ impl LoadResult {
 
     /// Splits the first `seconds` of the load into `windows` equal
     /// windows and takes, over the windows, the median of the completion
-    /// rate and of the latency quantiles of the requests that started in
+    /// rate and of the median latency of the requests that started in
     /// each. A host stall then moves one window, not the run.
     pub fn windowed(&self, seconds: f64, windows: usize) -> Option<Windowed> {
         let len = seconds / windows as f64;
@@ -118,7 +117,6 @@ impl LoadResult {
         Some(Windowed {
             throughput_rps: per(&|w| rate(&done[w])),
             p50_ms: per(&|w| quantile(&started[w], 0.5)),
-            p90_ms: per(&|w| quantile(&started[w], 0.9)),
         })
     }
 }
