@@ -60,6 +60,9 @@ pub enum RtError {
     /// An execution policy asked for a replica/shard placement the
     /// device pool cannot satisfy (carries the rendered reason).
     InvalidPlacement(String),
+    /// The engine dropped an admitted request without replying to it
+    /// (a worker unwound mid-batch).
+    RequestDropped,
 }
 
 impl fmt::Display for RtError {
@@ -106,6 +109,7 @@ impl fmt::Display for RtError {
             }
             RtError::EngineShutdown => write!(f, "engine is shutting down"),
             RtError::InvalidPlacement(msg) => write!(f, "invalid placement: {msg}"),
+            RtError::RequestDropped => write!(f, "request dropped without a reply"),
         }
     }
 }
@@ -149,6 +153,7 @@ impl RtError {
             RtError::RequestTooLarge { .. } => "request_too_large",
             RtError::EngineShutdown => "engine_shutdown",
             RtError::InvalidPlacement(_) => "invalid_placement",
+            RtError::RequestDropped => "request_dropped",
         }
     }
 }
@@ -211,6 +216,7 @@ mod tests {
             RtError::InvalidScale(-1.0).kind(),
             RtError::InvalidTileWidth(7).kind(),
             RtError::InvalidPlacement("r > pool".into()).kind(),
+            RtError::RequestDropped.kind(),
         ];
         let set: std::collections::HashSet<_> = kinds.iter().collect();
         assert_eq!(set.len(), kinds.len());

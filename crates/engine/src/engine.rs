@@ -9,9 +9,15 @@
 //! ([`DoseCalculator::compute_dose_batch`]), so concurrent traffic for
 //! the same matrix shares its bytes.
 //!
-//! Exactly one worker drives each device, and each worker owns that
-//! device's calculators exclusively — launches for one device never
-//! interleave, matching the one-stream-per-GPU execution model.
+//! Every plan is placed as `R` replica groups of `K` row-range shards
+//! (the default is one `K = 1` group per device). The batch goes to one
+//! group: a worker that is the home device of one of the plan's `K = 1`
+//! groups runs the batch there itself; otherwise the batch fans out into
+//! per-shard sub-tasks, each pinned to its shard's home device.
+//!
+//! Exactly one worker drives each device, and only a calculator's home
+//! worker ever runs it — launches for one device never interleave,
+//! matching the one-stream-per-GPU execution model.
 //!
 //! # Determinism (§II-D)
 //!
@@ -70,40 +76,53 @@ pub struct EngineResponse {
     pub batch_size: usize,
     /// Milliseconds this request waited in the queue before dispatch.
     pub queue_ms: f64,
-    /// Per-shard breakdown when the plan ran row-sharded across the
-    /// pool: per-device counters, the modeled gather cost of landing
-    /// each shard's rows, and the critical-path modeled time. `None`
-    /// for fully-resident plans.
+    /// Per-shard breakdown when the batch ran row-sharded across a
+    /// replica group: per-device counters, the modeled gather cost of
+    /// landing each shard's rows, and the critical-path modeled time.
+    /// `None` for one-shard groups, which have nothing to gather.
     pub shards: Option<ShardedReport>,
 }
 
-/// One request's reply slot: filled exactly once by a worker, awaited by
+/// One request's reply slot: filled exactly once — by a worker, or by
+/// the drop guard of an unanswered [`EngineRequest`] — and awaited by
 /// [`Ticket::wait`].
 struct ReplySlot {
-    state: Mutex<Option<Result<EngineResponse, RtError>>>,
+    state: Mutex<SlotState>,
     cv: Condvar,
+}
+
+#[derive(Default)]
+struct SlotState {
+    filled: bool,
+    /// The reply, until [`ReplySlot::wait`] takes it.
+    outcome: Option<Result<EngineResponse, RtError>>,
 }
 
 impl ReplySlot {
     fn new() -> Arc<Self> {
         Arc::new(ReplySlot {
-            state: Mutex::new(None),
+            state: Mutex::new(SlotState::default()),
             cv: Condvar::new(),
         })
     }
 
+    /// Fills the slot; a no-op once it is filled (the first reply wins).
     fn complete(&self, outcome: Result<EngineResponse, RtError>) {
-        *self.state.lock().unwrap() = Some(outcome);
-        self.cv.notify_all();
+        let mut s = self.state.lock().unwrap();
+        if !s.filled {
+            s.filled = true;
+            s.outcome = Some(outcome);
+            self.cv.notify_all();
+        }
     }
 
     fn wait(&self) -> Result<EngineResponse, RtError> {
-        let mut g = self.state.lock().unwrap();
+        let mut s = self.state.lock().unwrap();
         loop {
-            if let Some(outcome) = g.take() {
+            if let Some(outcome) = s.outcome.take() {
                 return outcome;
             }
-            g = self.cv.wait(g).unwrap();
+            s = self.cv.wait(s).unwrap();
         }
     }
 }
@@ -117,7 +136,7 @@ impl std::fmt::Debug for Ticket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.slot.state.lock().unwrap();
         f.debug_struct("Ticket")
-            .field("completed", &state.is_some())
+            .field("completed", &state.filled)
             .finish()
     }
 }
@@ -139,6 +158,16 @@ struct EngineRequest {
     slot: Arc<ReplySlot>,
 }
 
+/// A request dropped without a reply (a worker unwinding mid-batch drops
+/// the requests it holds) fails its ticket with
+/// [`RtError::RequestDropped`] instead of leaving [`Ticket::wait`]
+/// blocked forever. A no-op for a request already answered.
+impl Drop for EngineRequest {
+    fn drop(&mut self) {
+        self.slot.complete(Err(RtError::RequestDropped));
+    }
+}
+
 /// What sits in the serve queue: an admitted request, or one shard
 /// sub-task of a fanned-out batch (pinned to the shard's home device).
 enum WorkItem {
@@ -154,33 +183,35 @@ struct ShardTask {
     fan: Arc<FanOut>,
 }
 
-/// Barrier-free completion tracker for one fanned-out batch: each shard
-/// scatters its disjoint row range into `outputs` as it lands (any
-/// completion order), and whichever shard decrements `remaining` to zero
-/// merges the reports and fills every reply slot. Cancellation
-/// (deadline expiry seen at shard dispatch, or a shard execution error)
-/// flips `cancelled` with a CAS — the winner fails every slot, later
-/// shards skip execution, and no partially-merged dose can ever escape.
+/// Barrier-free completion tracker for one batch on one replica group:
+/// each shard lands its outputs as it completes (any order; `K > 1`
+/// shards scatter disjoint row ranges), and whichever shard decrements
+/// `remaining` to zero fills every reply slot. Cancellation (deadline
+/// expiry seen at shard dispatch, or a shard execution error) flips
+/// `cancelled` with a CAS — the winner fails every slot, later shards
+/// skip execution, and no partially-merged dose can ever escape.
 struct FanOut {
     plan: usize,
     /// Replica group executing this fan-out (indexes `epoch.groups` and
     /// the per-plan, per-epoch load table).
     group: usize,
     /// The placement epoch this fan-out was dealt under. Shard indices
-    /// resolve against *these* groups even if a rebalance swaps the
-    /// plan's current epoch mid-flight — the `Arc` keeps the old
-    /// generation's calculators alive until the last shard retires.
+    /// resolve against *these* groups even if a re-deal swaps the plan's
+    /// current epoch mid-flight — the `Arc` keeps the old generation's
+    /// calculators alive until the last shard retires.
     epoch: Arc<PlacementEpoch>,
     kind: RequestKind,
     /// The batch members with their queue-wait at fan-out time.
     requests: Vec<(EngineRequest, f64)>,
+    /// One output per member: zero-filled for `K > 1` scatters, moved in
+    /// whole from a single shard.
     outputs: Mutex<Vec<Vec<f64>>>,
     remaining: AtomicUsize,
     cancelled: AtomicBool,
-    /// Per-shard launch reports, pushed in completion order and sorted
-    /// by shard index at merge time (the merged report is deterministic
-    /// even though the landing order is not).
-    reports: Mutex<Vec<ShardReport>>,
+    /// Per-shard launch reports keyed by shard index, pushed in
+    /// completion order and sorted at merge time (the merged report is
+    /// deterministic even though the landing order is not).
+    reports: Mutex<Vec<(usize, LaunchReport)>>,
     /// Earliest true deadline in the batch — `min_i(submitted_i +
     /// budget_i)` over members that carry a budget — paired with the
     /// binding member's budget. The whole fan-out is shed as a unit
@@ -189,6 +220,12 @@ struct FanOut {
     /// is ever shed earlier than its *own* deadline: a mate's tighter
     /// budget binds only from that mate's later submission time.
     deadline: Option<(Instant, f64)>,
+}
+
+impl FanOut {
+    fn units(&self) -> &[ShardUnit] {
+        self.epoch.groups[self.group].units(self.kind)
+    }
 }
 
 /// Worker start gate: an engine built with `start_paused` holds its
@@ -220,14 +257,6 @@ impl Gate {
     }
 }
 
-/// EWMA smoothing factor for the per-group served-share tracker.
-const SKEW_EWMA_ALPHA: f64 = 0.25;
-/// Completed fan-outs an epoch must accumulate before a skew verdict.
-const SKEW_MIN_COMPLETIONS: u64 = 16;
-/// A group whose served share falls below `SKEW_SHARE_FLOOR / R` while
-/// still holding outstanding work is starved behind a slow member.
-const SKEW_SHARE_FLOOR: f64 = 0.1;
-
 /// Replica-group load counters for one placement epoch.
 struct GroupLoads {
     /// Fan-outs currently in flight per replica group.
@@ -239,38 +268,24 @@ struct GroupLoads {
 
 /// Per-plan replica-group load tracking for one serve session, keyed by
 /// placement epoch: an in-flight fan-out retires against the epoch that
-/// dispatched it even after a rebalance swaps the plan's current
+/// dispatched it even after a re-deal swaps the plan's current
 /// generation. One mutex per plan: group selection and the outstanding
 /// increment happen in a single critical section, so two workers
 /// dispatching the same plan concurrently can never both pick the
 /// "idle" group.
-struct PlanLoads {
-    epochs: HashMap<u64, GroupLoads>,
-    /// EWMA of each group's share of completed fan-outs on
-    /// `ewma_epoch` (indicator update): least-loaded routing bounds the
-    /// *outstanding* skew at one fan-out, so sustained starvation shows
-    /// up in the served share — a group stuck behind a slow device
-    /// decays toward zero here while it still holds outstanding work.
-    ewma_served: Vec<f64>,
-    /// The newest epoch this plan has dispatched on; the EWMA resets
-    /// when a rebalance moves dispatch to a new generation.
-    ewma_epoch: u64,
-    /// Completed fan-outs on `ewma_epoch` (hysteresis for the skew
-    /// verdict).
-    epoch_completions: u64,
-}
+type PlanLoads = Mutex<HashMap<u64, GroupLoads>>;
 
 struct ServeState {
     queue: BoundedQueue<WorkItem>,
     gate: Gate,
     metrics: Metrics,
-    /// One entry per registered plan (empty vectors for unplaced plans).
-    loads: Vec<Mutex<PlanLoads>>,
+    /// One entry per registered plan.
+    loads: Vec<PlanLoads>,
 }
 
-/// One row-range shard's residency: a calculator holding just the
-/// sub-matrix (no transpose — the gradient direction has its own shard
-/// set), pinned to its home device.
+/// One unit of a replica group's residency, pinned to its home device:
+/// a row-range shard of the matrix or of its transpose, or — in a
+/// one-shard group — the whole matrix together with its transpose.
 struct ShardUnit {
     /// Home device index into the *pool* (shard `s` of a replica group
     /// lives on the group's `s % group_size`-th member).
@@ -285,18 +300,22 @@ struct ShardUnit {
     calc: DoseCalculator,
 }
 
-/// One replica group of a placed plan: a disjoint device subset holding
-/// a full copy of the plan as `K` row-range shards (dose direction) plus
-/// `K` transpose shards (gradient direction).
+/// One replica group: a disjoint device subset holding a full copy of
+/// the plan. A one-shard group (`K = 1`) is a single calculator with the
+/// whole matrix and its transpose on its fastest member; a `K`-shard
+/// group holds `K` row-range shards of the matrix (dose direction) plus
+/// `K` of the transpose (gradient direction).
 struct ReplicaGroup {
     /// Absolute pool device indices, fastest (highest modeled bandwidth)
     /// first — `devices[0]` is the group's reference device for the
     /// break-even model.
     devices: Vec<usize>,
-    /// Row-range shards of the dose matrix, in row order.
+    /// Row-range shards of the dose matrix, in row order (for `K = 1`,
+    /// the one whole-matrix unit).
     dose_shards: Vec<ShardUnit>,
     /// Row-range shards of the transpose, sharded by *its* rows (= spot
     /// columns of the dose matrix) so gradient outputs are disjoint too.
+    /// Empty for `K = 1`.
     grad_shards: Vec<ShardUnit>,
     /// Break-even evidence table ([`ShardSpec::Auto`] only): the modeled
     /// single-request seconds at every candidate shard count.
@@ -304,69 +323,53 @@ struct ReplicaGroup {
 }
 
 impl ReplicaGroup {
-    fn shards_for(&self, kind: RequestKind) -> &[ShardUnit] {
+    /// The units serving `kind` (a one-shard group serves both
+    /// directions from its single unit).
+    fn units(&self, kind: RequestKind) -> &[ShardUnit] {
         match kind {
-            RequestKind::Dose => &self.dose_shards,
-            RequestKind::Gradient => &self.grad_shards,
+            RequestKind::Gradient if !self.grad_shards.is_empty() => &self.grad_shards,
+            _ => &self.dose_shards,
         }
     }
 }
 
-/// One immutable generation of a placed plan's resolved placement: `R`
+/// One immutable generation of a plan's resolved placement: `R`
 /// disjoint replica groups, each serving whole requests independently.
 /// Fan-outs pin the epoch they were dispatched under (`Arc`), so a live
-/// rebalance never pulls shard calculators out from under an in-flight
-/// batch.
+/// re-deal never pulls calculators out from under an in-flight batch.
+/// Groups are `Arc`s so a re-deal can carry unchanged groups into the
+/// next epoch without rebuilding them.
+#[derive(Default)]
 struct PlacementEpoch {
     /// Monotone generation counter (0 = the registration-time deal).
     epoch: u64,
-    groups: Vec<ReplicaGroup>,
+    groups: Vec<Arc<ReplicaGroup>>,
 }
 
-/// A placed plan's placement slot: the current epoch behind a mutex'd
-/// `Arc` (the lock is held only to clone or swap the pointer — never
-/// across a shard build), plus the rebalance event counter reported as
-/// `placement.rebalances`.
-struct PlacementCell {
-    /// Whether the per-group shard counts came from the break-even model
-    /// rather than being forced.
-    auto_shards: bool,
-    current: Mutex<Arc<PlacementEpoch>>,
-    rebalances: AtomicU64,
-}
-
-impl PlacementCell {
-    fn snapshot(&self) -> Arc<PlacementEpoch> {
-        Arc::clone(&self.current.lock().unwrap())
-    }
-}
-
-/// Host-side copies of a placed plan's matrices, kept so a live
-/// rebalance (drain, undrain, or sustained load skew) can rebuild shard
-/// calculators over a new device subset. The autotuned widths are
-/// pinned on the [`Plan`] from the whole matrix/transpose, so a re-deal
-/// can never change the arithmetic — only where it runs.
+/// What every replica group is built from: host-side copies of the
+/// matrix and its transpose (kept so a drain or undrain can build groups
+/// for the changed live set) and, for partitioned plans, each
+/// direction's row plan with its pinned per-bucket widths, shared by
+/// every calculator. The widths are pinned from the whole
+/// matrix/transpose, so a re-deal can never change the arithmetic — only
+/// where it runs.
 struct PlacementSource {
     matrix: Csr<f64, u32>,
     transpose: Csr<f64, u32>,
-    widths: Option<BucketWidths>,
-    grad_widths: Option<BucketWidths>,
+    partition: Option<(Arc<RowPlan>, BucketWidths)>,
+    grad_partition: Option<(Arc<RowPlan>, BucketWidths)>,
 }
 
 struct Plan {
     name: String,
-    nrows: usize,
-    ncols: usize,
-    /// One calculator per pool device (`calcs[i]` lives on `devices[i]`),
-    /// each holding the matrix and its transpose. Empty for placed
-    /// plans — those hold only their per-group shards, cutting
-    /// per-device residency.
-    calcs: Vec<DoseCalculator>,
-    /// Replica × shard placement (`None` for the classic fully-resident
-    /// path — [`ShardSpec::Off`] with [`ReplicaSpec::Auto`]).
-    placement: Option<PlacementCell>,
-    /// Matrices a rebalance rebuilds shards from (placed plans only).
-    source: Option<PlacementSource>,
+    /// The current placement epoch behind a mutex'd `Arc` (the lock is
+    /// held only to clone or swap the pointer — never across a
+    /// calculator build).
+    current: Mutex<Arc<PlacementEpoch>>,
+    /// Re-deals that changed at least one group (`placement.rebalances`).
+    rebalances: AtomicU64,
+    /// Inputs a re-deal builds changed groups from.
+    source: PlacementSource,
     /// The policy this plan was registered under.
     policy: ExecPolicy,
     /// The autotuner's decision for this plan, made once at
@@ -384,31 +387,24 @@ struct Plan {
     /// for any R/K/pool/completion order — the backward mirror of
     /// `choice`.
     grad_choice: KernelChoice,
-    /// Row-partition execution plan, built once at registration and
-    /// shared by every per-device calculator (partitioned plans only).
-    row_plan: Option<Arc<RowPlan>>,
-    /// Row-partition plan of the **transpose** (empty beamlet rows
-    /// dropped, length-bucketed), built once at registration and shared
-    /// by every per-device calculator's gradient path (partitioned plans
-    /// only).
-    grad_row_plan: Option<Arc<RowPlan>>,
 }
 
 impl Plan {
+    /// The current placement epoch.
+    fn placement(&self) -> Arc<PlacementEpoch> {
+        Arc::clone(&self.current.lock().unwrap())
+    }
+
     /// Device bytes this plan pins on pool device `dev` under its
     /// current placement epoch.
     fn resident_bytes_on(&self, dev: usize) -> u64 {
-        match &self.placement {
-            Some(cell) => cell
-                .snapshot()
-                .groups
-                .iter()
-                .flat_map(|g| g.dose_shards.iter().chain(&g.grad_shards))
-                .filter(|u| u.device == dev)
-                .map(|u| u.calc.resident_bytes())
-                .sum(),
-            None => self.calcs[dev].resident_bytes(),
-        }
+        self.placement()
+            .groups
+            .iter()
+            .flat_map(|g| g.dose_shards.iter().chain(&g.grad_shards))
+            .filter(|u| u.device == dev)
+            .map(|u| u.calc.resident_bytes())
+            .sum()
     }
 }
 
@@ -496,8 +492,8 @@ impl EngineBuilder {
     }
 
     /// Execution policy applied to plans registered through
-    /// [`Engine::register_plan`] (default [`ExecPolicy::default`]: the
-    /// classic fully-resident engine). Per-plan policies via
+    /// [`Engine::register_plan`] (default [`ExecPolicy::default`]: one
+    /// whole-matrix calculator per device). Per-plan policies via
     /// [`Engine::register_plan_with`] override this.
     pub fn default_policy(mut self, policy: ExecPolicy) -> Self {
         self.default_policy = policy;
@@ -505,8 +501,9 @@ impl EngineBuilder {
     }
 
     /// Test hook: delays worker `device` by `delay_ms` before it serves
-    /// each popped shard sub-task, simulating a slow pool member so
-    /// deadline-cancellation under fan-out is deterministic to test.
+    /// each shard sub-task (queued or run inline), simulating a slow
+    /// pool member so deadline-cancellation under fan-out is
+    /// deterministic to test.
     #[doc(hidden)]
     pub fn debug_device_delay_ms(mut self, device: usize, delay_ms: f64) -> Self {
         self.debug_delays.push((device, delay_ms));
@@ -573,11 +570,11 @@ pub struct Engine {
     /// hot path, so the lookup must not rescan the plan list.
     plan_index: HashMap<String, usize>,
     /// Per-device drain flags. A drained device takes no new requests
-    /// and no shard homes in new placement epochs, but still executes
-    /// shard sub-tasks pinned to it by an older epoch — in-flight
-    /// fan-outs finish where they started.
+    /// and no groups in new placement epochs, but still executes shard
+    /// sub-tasks pinned to it by an older epoch — in-flight fan-outs
+    /// finish where they started.
     drained: Vec<AtomicBool>,
-    /// Serializes drain/undrain/skew re-deals so two triggers can never
+    /// Serializes drain/undrain re-deals so two triggers can never
     /// interleave their build-then-swap sequences.
     rebalance_lock: Mutex<()>,
     queue_capacity: usize,
@@ -621,7 +618,8 @@ impl Engine {
 
     /// `(nvoxels, nspots)` of a registered plan.
     pub fn plan_dims(&self, name: &str) -> Option<(usize, usize)> {
-        self.plan(name).map(|p| (p.nrows, p.ncols))
+        self.plan(name)
+            .map(|p| (p.source.matrix.nrows(), p.source.matrix.ncols()))
     }
 
     fn plan(&self, name: &str) -> Option<&Plan> {
@@ -641,7 +639,8 @@ impl Engine {
     /// The row-partition plan a registered plan dispatches through, if
     /// the engine was built with [`KernelSelect::Partitioned`].
     pub fn plan_row_plan(&self, name: &str) -> Option<&Arc<RowPlan>> {
-        self.plan(name).and_then(|p| p.row_plan.as_ref())
+        self.plan(name)
+            .and_then(|p| p.source.partition.as_ref().map(|(rows, _)| rows))
     }
 
     /// The tile width a registered plan's gradient (transpose) kernels
@@ -659,7 +658,8 @@ impl Engine {
     /// The transpose row-partition plan a registered plan's gradients
     /// dispatch through, if the policy selects [`KernelSelect::Partitioned`].
     pub fn plan_grad_row_plan(&self, name: &str) -> Option<&Arc<RowPlan>> {
-        self.plan(name).and_then(|p| p.grad_row_plan.as_ref())
+        self.plan(name)
+            .and_then(|p| p.source.grad_partition.as_ref().map(|(rows, _)| rows))
     }
 
     /// The default execution policy plans registered through
@@ -675,57 +675,47 @@ impl Engine {
 
     /// Dose-direction shards per replica group a registered plan
     /// actually got under its current placement epoch (forced counts
-    /// are clamped to the plan's rows); `None` when the plan runs the
-    /// classic fully-resident path.
+    /// are clamped to the plan's rows); `None` for an unknown plan.
     pub fn plan_shard_count(&self, name: &str) -> Option<usize> {
         self.plan(name)
-            .and_then(|p| p.placement.as_ref())
-            .map(|cell| cell.snapshot().groups[0].dose_shards.len())
+            .map(|p| p.placement().groups[0].dose_shards.len())
     }
 
     /// Replica groups a registered plan is currently dealt across;
-    /// `None` when the plan runs the classic fully-resident path.
+    /// `None` for an unknown plan.
     pub fn plan_replica_count(&self, name: &str) -> Option<usize> {
-        self.plan(name)
-            .and_then(|p| p.placement.as_ref())
-            .map(|cell| cell.snapshot().groups.len())
+        self.plan(name).map(|p| p.placement().groups.len())
     }
 
-    /// Rebalance events (drain, undrain, or skew-triggered re-deals) a
-    /// registered plan's placement has absorbed; `None` for unplaced
-    /// plans.
+    /// Re-deals (drains and undrains that changed at least one of its
+    /// replica groups) a registered plan's placement has absorbed;
+    /// `None` for an unknown plan.
     pub fn plan_rebalances(&self, name: &str) -> Option<u64> {
-        self.plan(name)
-            .and_then(|p| p.placement.as_ref())
-            .map(|cell| cell.rebalances.load(Ordering::SeqCst))
+        self.plan(name).map(|p| p.rebalances.load(Ordering::SeqCst))
     }
 
     /// The break-even evidence table recorded for a registered plan's
     /// first replica group under its current placement epoch
     /// ([`ShardSpec::Auto`] plans only; empty for forced shard counts,
-    /// `None` for unplaced plans).
+    /// `None` for an unknown plan).
     pub fn plan_breakeven(&self, name: &str) -> Option<Vec<BreakEvenPoint>> {
         self.plan(name)
-            .and_then(|p| p.placement.as_ref())
-            .map(|cell| cell.snapshot().groups[0].breakeven.clone())
+            .map(|p| p.placement().groups[0].breakeven.clone())
     }
 
     /// Interior shard cut points of a registered plan's first replica
-    /// group (`K - 1` row indices; empty for `K = 1`, `None` for
-    /// unplaced plans). These are what
-    /// [`rt_sparse::save_csr_with_cuts`] persists so a snapshot cold
-    /// start can skip re-sharding.
+    /// group (`K - 1` row indices; empty for `K = 1`, `None` for an
+    /// unknown plan). These are what [`rt_sparse::save_csr_with_cuts`]
+    /// persists so a snapshot cold start can skip re-sharding.
     pub fn plan_shard_cuts(&self, name: &str) -> Option<Vec<usize>> {
-        self.plan(name)
-            .and_then(|p| p.placement.as_ref())
-            .map(|cell| {
-                cell.snapshot().groups[0]
-                    .dose_shards
-                    .iter()
-                    .skip(1)
-                    .map(|u| u.row_start)
-                    .collect()
-            })
+        self.plan(name).map(|p| {
+            p.placement().groups[0]
+                .dose_shards
+                .iter()
+                .skip(1)
+                .map(|u| u.row_start)
+                .collect()
+        })
     }
 
     /// Registers `matrix` under the plan name `name` with the engine's
@@ -741,19 +731,17 @@ impl Engine {
     /// Registration is when the engine autotunes. The policy's
     /// [`KernelSelect`] picks the plan's tile width once (from row
     /// statistics, or by probing candidate widths on the first pool
-    /// device); every per-device or per-shard calculator is built to
-    /// run at it — pinned widths are what make placed doses bitwise
-    /// identical to unsharded ones.
+    /// device); every calculator is built to run at it — pinned widths
+    /// are what make placed doses bitwise identical to unsharded ones.
     ///
-    /// An unplaced policy ([`ShardSpec::Off`] + [`ReplicaSpec::Auto`],
-    /// the default) uploads the matrix and its transpose to every
-    /// device. Any other combination *places* the plan: the pool is
-    /// snake-dealt by modeled bandwidth into `R` disjoint replica
-    /// groups, and each group holds the plan as `K` throughput-weighted
-    /// row-range shards (`K` per the policy, or the break-even model
-    /// under [`ShardSpec::Auto`]). Returns
-    /// [`RtError::InvalidPlacement`] when a forced replica count
-    /// exceeds the pool.
+    /// The live pool is then snake-dealt by modeled bandwidth into `R`
+    /// disjoint replica groups, and each group holds the plan as `K`
+    /// throughput-weighted row-range shards (`K` per the policy, or the
+    /// break-even model under [`ShardSpec::Auto`]). A `K = 1` group is
+    /// one calculator holding the whole matrix and its transpose; the
+    /// default policy (`R` = live devices, `K = 1`) therefore uploads
+    /// both to every device. Returns [`RtError::InvalidPlacement`] when
+    /// a forced replica count exceeds the pool.
     pub fn register_plan_with(
         &mut self,
         name: &str,
@@ -778,125 +766,69 @@ impl Engine {
             policy
                 .kernel_select
                 .choose(&self.devices[0], matrix, self.threads_per_block)?;
-        // Partitioned strategies: build the row plan once, apply the
-        // per-bucket widths the autotuner picked, and share the plan
-        // across every per-device calculator. (Bucket membership is a
-        // function of row length, so sharded sub-matrices reuse the same
-        // widths against their own row plans.)
-        let partition = if matches!(policy.kernel_select, KernelSelect::Partitioned(_)) {
-            Some((Arc::new(RowPlan::from_csr(matrix)), choice.bucket_widths()))
-        } else {
-            None
-        };
         // The gradient direction gets its own decision: the same
         // strategy run on the transpose, whose row-length distribution
-        // (beamlet rows) is unrelated to the dose direction's. Built
-        // once here so the widths — and, for partitioned strategies, the
-        // transpose RowPlan — are pinned from the whole transpose before
-        // any shard split.
-        let transposed = matrix.transpose();
+        // (beamlet rows) is unrelated to the dose direction's.
+        let transpose = matrix.transpose();
         let grad_choice =
             policy
                 .kernel_select
-                .choose(&self.devices[0], &transposed, self.threads_per_block)?;
-        let grad_partition = if matches!(policy.kernel_select, KernelSelect::Partitioned(_)) {
-            Some((
-                Arc::new(RowPlan::from_csr(&transposed)),
+                .choose(&self.devices[0], &transpose, self.threads_per_block)?;
+        // Partitioned strategies: build each direction's row plan once,
+        // pinned with its per-bucket widths from the whole matrix (or
+        // transpose) before any shard split, and share it across every
+        // whole-matrix calculator. (Bucket membership is a function of
+        // row length, so shards reuse the same widths against their own
+        // row plans.)
+        let partitioned = matches!(policy.kernel_select, KernelSelect::Partitioned(_));
+        let partition =
+            partitioned.then(|| (Arc::new(RowPlan::from_csr(matrix)), choice.bucket_widths()));
+        let grad_partition = partitioned.then(|| {
+            (
+                Arc::new(RowPlan::from_csr(&transpose)),
                 grad_choice.bucket_widths(),
-            ))
-        } else {
-            None
-        };
-        let unplaced = policy.shards == ShardSpec::Off && policy.replicas == ReplicaSpec::Auto;
-        let (calcs, placement, source) = if unplaced {
-            let calcs = self
-                .devices
-                .iter()
-                .map(|d| {
-                    let mut b = DoseCalculator::builder(matrix)
-                        .device(d.clone())
-                        .threads_per_block(self.threads_per_block)
-                        .tile_width(choice.tile_width)
-                        .grad_tile_width(grad_choice.tile_width)
-                        .with_transpose();
-                    if let Some((plan, widths)) = &partition {
-                        b = b.partitioned_with_plan(plan.clone(), *widths);
-                    }
-                    if let Some((plan, widths)) = &grad_partition {
-                        b = b.grad_partitioned_with_plan(plan.clone(), *widths);
-                    }
-                    b.build()
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            (calcs, None, None)
-        } else {
-            let widths = partition.as_ref().map(|(_, w)| *w);
-            let grad_widths = grad_partition.as_ref().map(|(_, w)| *w);
-            let groups = self.place_groups(
-                matrix,
-                &transposed,
-                &policy,
-                &choice,
-                &grad_choice,
-                widths,
-                grad_widths,
-                stored_cuts,
-                &self.live_devices(),
-            )?;
-            let cell = PlacementCell {
-                auto_shards: policy.shards == ShardSpec::Auto,
-                current: Mutex::new(Arc::new(PlacementEpoch { epoch: 0, groups })),
-                rebalances: AtomicU64::new(0),
-            };
-            let source = PlacementSource {
-                matrix: matrix.clone(),
-                transpose: transposed.clone(),
-                widths,
-                grad_widths,
-            };
-            (Vec::new(), Some(cell), Some(source))
-        };
-        self.plan_index.insert(name.to_string(), self.plans.len());
-        self.plans.push(Plan {
+            )
+        });
+        let mut plan = Plan {
             name: name.to_string(),
-            nrows: matrix.nrows(),
-            ncols: matrix.ncols(),
-            calcs,
-            placement,
-            source,
+            current: Mutex::default(),
+            rebalances: AtomicU64::new(0),
+            source: PlacementSource {
+                matrix: matrix.clone(),
+                transpose,
+                partition,
+                grad_partition,
+            },
             policy,
             choice,
             grad_choice,
-            row_plan: partition.map(|(plan, _)| plan),
-            grad_row_plan: grad_partition.map(|(plan, _)| plan),
-        });
+        };
+        let groups = self.place_groups(&plan, stored_cuts, &self.live_devices(), &[])?;
+        plan.current = Mutex::new(Arc::new(PlacementEpoch { epoch: 0, groups }));
+        self.plan_index.insert(name.to_string(), self.plans.len());
+        self.plans.push(plan);
         Ok(())
     }
 
-    /// Resolves a placed policy into replica groups with resident shard
-    /// calculators, dealt over the `live` device subset (the whole pool
-    /// at registration; the surviving members during a drain re-deal).
-    /// The break-even model re-runs against the live members, so a
-    /// shrunken group may legitimately pick a smaller `K` than the full
-    /// pool would have.
-    #[allow(clippy::too_many_arguments)] // both directions' pinned decisions
+    /// Deals a plan's replica groups over the `live` device subset (the
+    /// whole pool at registration; the changed live set on a re-deal).
+    /// A group whose member list and shard count match one in `reuse`
+    /// is shared, not rebuilt. The break-even model re-runs against the
+    /// live members, so a shrunken group may legitimately pick a smaller
+    /// `K` than the full pool would have.
     fn place_groups(
         &self,
-        matrix: &Csr<f64, u32>,
-        transpose: &Csr<f64, u32>,
-        policy: &ExecPolicy,
-        choice: &KernelChoice,
-        grad_choice: &KernelChoice,
-        widths: Option<BucketWidths>,
-        grad_widths: Option<BucketWidths>,
+        plan: &Plan,
         stored_cuts: Option<&[usize]>,
         live: &[usize],
-    ) -> Result<Vec<ReplicaGroup>, RtError> {
+        reuse: &[Arc<ReplicaGroup>],
+    ) -> Result<Vec<Arc<ReplicaGroup>>, RtError> {
+        let src = &plan.source;
         let pool = self.devices.len();
         let live_n = live.len();
         let weights: Vec<f64> = self.devices.iter().map(|d| d.effective_dram_bw()).collect();
-        let nonempty = nonempty_rows(matrix);
-        let r = match policy.replicas {
+        let nonempty = nonempty_rows(&src.matrix);
+        let r = match plan.policy.replicas {
             ReplicaSpec::Fixed(r) => {
                 if r > pool {
                     return Err(RtError::InvalidPlacement(format!(
@@ -912,8 +844,7 @@ impl Engine {
                 // Derive R from the shard count the plan would take on
                 // the live pool: enough groups that each can hold a
                 // complete shard set.
-                let k_target = match policy.shards {
-                    ShardSpec::Off => 1,
+                let k_target = match plan.policy.shards {
                     ShardSpec::Fixed(k) => k,
                     ShardSpec::Auto => {
                         let sorted: Vec<DeviceSpec> = snake_partition_subset(&weights, live, 1)
@@ -921,7 +852,7 @@ impl Engine {
                             .into_iter()
                             .map(|d| self.devices[d].clone())
                             .collect();
-                        let whole = self.whole_seconds_for(&sorted[0], matrix, choice);
+                        let whole = self.whole_seconds_for(&sorted[0], &src.matrix, &plan.choice);
                         choose_shard_count(&sorted, whole, nonempty, live_n).k
                     }
                 };
@@ -931,38 +862,64 @@ impl Engine {
         // Snake-deal the live devices by modeled bandwidth so the R
         // groups are matched in strength; each group lists its members
         // fastest first.
-        let memberships = snake_partition_subset(&weights, live, r);
-        // The gradient runs `A^T r` as a forward SpMV on the transpose,
-        // so the transpose shards by its own rows and the gradient
-        // outputs stay disjoint. It runs at the gradient direction's own
-        // pinned decision (width table chosen on the whole transpose,
-        // never the dose partition — the transpose has its own shape),
-        // matching the fully-resident gradient path bit for bit.
-        let mut groups = Vec::with_capacity(memberships.len());
-        for members in memberships {
-            let (k, breakeven) = match policy.shards {
-                ShardSpec::Off => (1, Vec::new()),
-                ShardSpec::Fixed(k) => (k, Vec::new()),
-                ShardSpec::Auto => {
-                    let specs: Vec<DeviceSpec> =
-                        members.iter().map(|&d| self.devices[d].clone()).collect();
-                    let whole = self.whole_seconds_for(&specs[0], matrix, choice);
-                    let be = choose_shard_count(&specs, whole, nonempty, specs.len());
-                    (be.k, be.candidates)
+        snake_partition_subset(&weights, live, r)
+            .into_iter()
+            .map(|members| {
+                let (k, breakeven) = match plan.policy.shards {
+                    ShardSpec::Fixed(k) => (k, Vec::new()),
+                    ShardSpec::Auto => {
+                        let specs: Vec<DeviceSpec> =
+                            members.iter().map(|&d| self.devices[d].clone()).collect();
+                        let whole = self.whole_seconds_for(&specs[0], &src.matrix, &plan.choice);
+                        let be = choose_shard_count(&specs, whole, nonempty, specs.len());
+                        (be.k, be.candidates)
+                    }
+                };
+                // A shard split never yields more shards than rows.
+                let k = k.clamp(1, src.matrix.nrows().max(1));
+                if let Some(g) = reuse
+                    .iter()
+                    .find(|g| g.devices == members && g.dose_shards.len() == k)
+                {
+                    return Ok(Arc::clone(g));
                 }
-            };
-            let dose_shards =
-                self.build_group_units(matrix, &members, k, choice, widths, stored_cuts)?;
-            let grad_shards =
-                self.build_group_units(transpose, &members, k, grad_choice, grad_widths, None)?;
-            groups.push(ReplicaGroup {
-                devices: members,
-                dose_shards,
-                grad_shards,
-                breakeven,
-            });
-        }
-        Ok(groups)
+                let (dose_shards, grad_shards) = if k == 1 {
+                    (vec![self.whole_unit(plan, members[0])?], Vec::new())
+                } else {
+                    // The gradient runs `A^T r` as a forward SpMV on the
+                    // transpose, so the transpose shards by its own rows
+                    // and the gradient outputs stay disjoint. It runs at
+                    // the gradient direction's own pinned decision,
+                    // matching the whole-matrix gradient bit for bit.
+                    let widths =
+                        |p: &Option<(Arc<RowPlan>, BucketWidths)>| p.as_ref().map(|(_, w)| *w);
+                    (
+                        self.build_group_units(
+                            &src.matrix,
+                            &members,
+                            k,
+                            &plan.choice,
+                            widths(&src.partition),
+                            stored_cuts,
+                        )?,
+                        self.build_group_units(
+                            &src.transpose,
+                            &members,
+                            k,
+                            &plan.grad_choice,
+                            widths(&src.grad_partition),
+                            None,
+                        )?,
+                    )
+                };
+                Ok(Arc::new(ReplicaGroup {
+                    devices: members,
+                    dose_shards,
+                    grad_shards,
+                    breakeven,
+                }))
+            })
+            .collect()
     }
 
     /// Pool devices not currently drained.
@@ -980,12 +937,12 @@ impl Engine {
     }
 
     /// Marks pool device `d` ineligible for new work: its worker stops
-    /// popping requests, no new placement epoch homes shards on it, and
-    /// every placed plan currently holding shards there is re-dealt
-    /// over the surviving devices. Shard sub-tasks already pinned by an
-    /// older epoch still execute, so in-flight fan-outs finish where
-    /// they started — and because every epoch's widths are pinned from
-    /// the whole matrix, the dose bytes are identical either way.
+    /// popping requests, no new placement epoch puts a group on it, and
+    /// every plan is re-dealt over the surviving devices. Shard
+    /// sub-tasks already pinned by an older epoch still execute, so
+    /// in-flight fan-outs finish where they started — and because every
+    /// epoch's widths are pinned from the whole matrix, the dose bytes
+    /// are identical either way.
     ///
     /// Idempotent. Fails with [`RtError::InvalidPlacement`] when `d` is
     /// out of range or draining it would leave the pool empty.
@@ -1000,8 +957,10 @@ impl Engine {
         if self.drained[d].load(Ordering::SeqCst) {
             return Ok(());
         }
-        let live: Vec<usize> = (0..self.devices.len())
-            .filter(|&i| i != d && !self.drained[i].load(Ordering::SeqCst))
+        let live: Vec<usize> = self
+            .live_devices()
+            .into_iter()
+            .filter(|&i| i != d)
             .collect();
         if live.is_empty() {
             return Err(RtError::InvalidPlacement(format!(
@@ -1009,22 +968,13 @@ impl Engine {
             )));
         }
         self.drained[d].store(true, Ordering::SeqCst);
-        for idx in 0..self.plans.len() {
-            let uses_d = self.plans[idx].placement.as_ref().is_some_and(|cell| {
-                cell.snapshot()
-                    .groups
-                    .iter()
-                    .any(|g| g.devices.contains(&d))
-            });
-            if uses_d {
-                self.redeal_plan(idx, &live)?;
-            }
-        }
-        Ok(())
+        self.plans
+            .iter()
+            .try_for_each(|p| self.redeal_plan(p, &live))
     }
 
-    /// Returns a drained device to service and re-deals every placed
-    /// plan over the grown pool. Idempotent; fails with
+    /// Returns a drained device to service and re-deals every plan over
+    /// the grown pool. Idempotent; fails with
     /// [`RtError::InvalidPlacement`] when `d` is out of range.
     pub fn undrain_device(&self, d: usize) -> Result<(), RtError> {
         if d >= self.devices.len() {
@@ -1038,54 +988,63 @@ impl Engine {
             return Ok(());
         }
         let live = self.live_devices();
-        for idx in 0..self.plans.len() {
-            if self.plans[idx].placement.is_some() {
-                self.redeal_plan(idx, &live)?;
-            }
-        }
-        Ok(())
+        self.plans
+            .iter()
+            .try_for_each(|p| self.redeal_plan(p, &live))
     }
 
-    /// Skew-triggered re-deal: `try_lock` so a worker thread never
-    /// blocks behind a drain already in progress (the drain's own
-    /// re-deal supersedes this one anyway).
-    fn rebalance_plan(&self, plan_idx: usize) {
-        let Ok(_serialize) = self.rebalance_lock.try_lock() else {
-            return;
-        };
-        let live = self.live_devices();
-        // Build errors can't reach here (the same inputs placed cleanly
-        // at registration), but a worker must never panic.
-        let _ = self.redeal_plan(plan_idx, &live);
-    }
-
-    /// Re-deals one placed plan's replica groups over `live` and swaps
-    /// the new epoch in. The shard build runs *before* the cell lock is
-    /// taken, so dispatchers are never blocked behind calculator
-    /// construction; callers hold `rebalance_lock`.
-    fn redeal_plan(&self, plan_idx: usize, live: &[usize]) -> Result<(), RtError> {
-        let plan = &self.plans[plan_idx];
-        let (Some(cell), Some(src)) = (&plan.placement, &plan.source) else {
+    /// Re-deals one plan's replica groups over `live`. A re-deal is a
+    /// pure function of the live set and the policy, so every group
+    /// whose members and shard count did not change is carried into the
+    /// new epoch as is, and only the changed groups are built — before
+    /// the cell lock is taken, so dispatchers never wait on calculator
+    /// construction. When no group changed there is no epoch swap and no
+    /// rebalance count. Callers hold `rebalance_lock`.
+    fn redeal_plan(&self, plan: &Plan, live: &[usize]) -> Result<(), RtError> {
+        let old = plan.placement();
+        let groups = self.place_groups(plan, None, live, &old.groups)?;
+        let unchanged = groups.len() == old.groups.len()
+            && groups
+                .iter()
+                .zip(&old.groups)
+                .all(|(a, b)| Arc::ptr_eq(a, b));
+        if unchanged {
             return Ok(());
-        };
-        let groups = self.place_groups(
-            &src.matrix,
-            &src.transpose,
-            &plan.policy,
-            &plan.choice,
-            &plan.grad_choice,
-            src.widths,
-            src.grad_widths,
-            None,
-            live,
-        )?;
-        let mut cur = cell.current.lock().unwrap();
+        }
+        let mut cur = plan.current.lock().unwrap();
         *cur = Arc::new(PlacementEpoch {
             epoch: cur.epoch + 1,
             groups,
         });
-        cell.rebalances.fetch_add(1, Ordering::SeqCst);
+        plan.rebalances.fetch_add(1, Ordering::SeqCst);
         Ok(())
+    }
+
+    /// A one-shard group's unit on `device`: one calculator holding the
+    /// whole matrix and its transpose at the plan's pinned widths, over
+    /// the plan's cached row plans — no shard split.
+    fn whole_unit(&self, plan: &Plan, device: usize) -> Result<ShardUnit, RtError> {
+        let src = &plan.source;
+        let mut b = DoseCalculator::builder(&src.matrix)
+            .device(self.devices[device].clone())
+            .threads_per_block(self.threads_per_block)
+            .tile_width(plan.choice.tile_width)
+            .grad_tile_width(plan.grad_choice.tile_width)
+            .with_transpose();
+        if let Some((rows, widths)) = &src.partition {
+            b = b.partitioned_with_plan(rows.clone(), *widths);
+        }
+        if let Some((rows, widths)) = &src.grad_partition {
+            b = b.grad_partitioned_with_plan(rows.clone(), *widths);
+        }
+        Ok(ShardUnit {
+            device,
+            row_start: 0,
+            row_end: src.matrix.nrows(),
+            nnz: src.matrix.nnz() as u64,
+            gather_bytes: 0,
+            calc: b.build()?,
+        })
     }
 
     /// Splits `matrix` into `k` row-range shards weighted by each home
@@ -1208,25 +1167,7 @@ impl Engine {
             queue: BoundedQueue::new(self.queue_capacity),
             gate: Gate::new(self.start_paused),
             metrics: Metrics::new(&names),
-            loads: self
-                .plans
-                .iter()
-                .map(|p| {
-                    let (groups, epoch) = p.placement.as_ref().map_or((0, 0), |cell| {
-                        let cur = cell.snapshot();
-                        (cur.groups.len(), cur.epoch)
-                    });
-                    Mutex::new(PlanLoads {
-                        epochs: HashMap::new(),
-                        ewma_served: vec![
-                            if groups > 0 { 1.0 / groups as f64 } else { 0.0 };
-                            groups
-                        ],
-                        ewma_epoch: epoch,
-                        epoch_completions: 0,
-                    })
-                })
-                .collect(),
+            loads: self.plans.iter().map(|_| PlanLoads::default()).collect(),
         };
         let out = std::thread::scope(|s| {
             for dev in 0..self.devices.len() {
@@ -1247,105 +1188,84 @@ impl Engine {
         let mut report = state
             .metrics
             .report(self.queue_capacity, state.queue.max_depth());
+        let buckets = |choice: &KernelChoice| -> Vec<BucketSelection> {
+            choice
+                .buckets
+                .iter()
+                .filter(|bc| bc.rows > 0)
+                .map(|bc| BucketSelection {
+                    min_len: bc.min_len,
+                    max_len: bc.max_len,
+                    rows: bc.rows,
+                    tile_width: bc.tile_width,
+                    lanes_active_frac: bc.lanes_active_frac,
+                })
+                .collect()
+        };
         report.plans = self
             .plans
             .iter()
-            .enumerate()
-            .map(|(plan_idx, p)| {
-                let placed = p.placement.as_ref().map(|cell| cell.snapshot());
+            .zip(&state.loads)
+            .map(|(p, loads)| {
+                let pl = p.placement();
+                // Served tallies are per-epoch; the report shows the
+                // current epoch's row (zeros if nothing dispatched on it
+                // yet).
+                let served: Vec<u64> = loads
+                    .lock()
+                    .unwrap()
+                    .get(&pl.epoch)
+                    .map(|e| e.served.clone())
+                    .unwrap_or_else(|| vec![0; pl.groups.len()]);
                 PlanSelection {
                     name: p.name.clone(),
                     tile_width: p.choice.tile_width,
                     mode: p.choice.mode.to_string(),
                     avg_nnz_nonempty: p.choice.avg_nnz_nonempty,
                     grad_tile_width: p.grad_choice.tile_width,
-                    buckets: p
-                        .choice
-                        .buckets
+                    buckets: buckets(&p.choice),
+                    grad_buckets: buckets(&p.grad_choice),
+                    shards: pl.groups[0]
+                        .dose_shards
                         .iter()
-                        .filter(|bc| bc.rows > 0)
-                        .map(|bc| BucketSelection {
-                            min_len: bc.min_len,
-                            max_len: bc.max_len,
-                            rows: bc.rows,
-                            tile_width: bc.tile_width,
-                            lanes_active_frac: bc.lanes_active_frac,
+                        .enumerate()
+                        .map(|(i, u)| PlanShard {
+                            shard: i,
+                            device: self.devices[u.device].name.to_string(),
+                            row_start: u.row_start as u64,
+                            rows: (u.row_end - u.row_start) as u64,
+                            nnz: u.nnz,
+                            resident_bytes: u.calc.resident_bytes(),
                         })
                         .collect(),
-                    grad_buckets: p
-                        .grad_choice
-                        .buckets
-                        .iter()
-                        .filter(|bc| bc.rows > 0)
-                        .map(|bc| BucketSelection {
-                            min_len: bc.min_len,
-                            max_len: bc.max_len,
-                            rows: bc.rows,
-                            tile_width: bc.tile_width,
-                            lanes_active_frac: bc.lanes_active_frac,
-                        })
-                        .collect(),
-                    shards: placed
-                        .as_ref()
-                        .map(|pl| {
-                            pl.groups[0]
-                                .dose_shards
-                                .iter()
-                                .enumerate()
-                                .map(|(i, u)| PlanShard {
-                                    shard: i,
-                                    device: self.devices[u.device].name.to_string(),
-                                    row_start: u.row_start as u64,
-                                    rows: (u.row_end - u.row_start) as u64,
-                                    nnz: u.nnz,
-                                    resident_bytes: u.calc.resident_bytes(),
-                                })
-                                .collect()
-                        })
-                        .unwrap_or_default(),
-                    placement: placed.as_ref().map(|pl| {
-                        // Served tallies are per-epoch; the report shows the
-                        // current epoch's row (zeros if nothing dispatched
-                        // on it yet).
-                        let served: Vec<u64> = state.loads[plan_idx]
-                            .lock()
-                            .unwrap()
-                            .epochs
-                            .get(&pl.epoch)
-                            .map(|e| e.served.clone())
-                            .unwrap_or_else(|| vec![0; pl.groups.len()]);
-                        PlacementSelection {
-                            replicas: pl.groups.len(),
-                            shards_per_replica: pl.groups[0].dose_shards.len(),
-                            auto_shards: p.placement.as_ref().is_some_and(|cell| cell.auto_shards),
-                            rebalances: p
-                                .placement
-                                .as_ref()
-                                .map_or(0, |cell| cell.rebalances.load(Ordering::SeqCst)),
-                            groups: pl
-                                .groups
-                                .iter()
-                                .enumerate()
-                                .map(|(g, grp)| ReplicaGroupSelection {
-                                    group: g,
-                                    devices: grp
-                                        .devices
-                                        .iter()
-                                        .map(|&d| self.devices[d].name.to_string())
-                                        .collect(),
-                                    shards: grp.dose_shards.len(),
-                                    served: served[g],
-                                })
-                                .collect(),
-                            breakeven: pl.groups[0]
-                                .breakeven
-                                .iter()
-                                .map(|b| BreakEvenSelection {
-                                    k: b.k,
-                                    modeled_seconds: b.modeled_seconds,
-                                })
-                                .collect(),
-                        }
+                    placement: Some(PlacementSelection {
+                        replicas: pl.groups.len(),
+                        shards_per_replica: pl.groups[0].dose_shards.len(),
+                        auto_shards: p.policy.shards == ShardSpec::Auto,
+                        rebalances: p.rebalances.load(Ordering::SeqCst),
+                        groups: pl
+                            .groups
+                            .iter()
+                            .enumerate()
+                            .map(|(g, grp)| ReplicaGroupSelection {
+                                group: g,
+                                devices: grp
+                                    .devices
+                                    .iter()
+                                    .map(|&d| self.devices[d].name.to_string())
+                                    .collect(),
+                                shards: grp.dose_shards.len(),
+                                served: served[g],
+                            })
+                            .collect(),
+                        breakeven: pl.groups[0]
+                            .breakeven
+                            .iter()
+                            .map(|b| BreakEvenSelection {
+                                k: b.k,
+                                modeled_seconds: b.modeled_seconds,
+                            })
+                            .collect(),
                     }),
                 }
             })
@@ -1378,9 +1298,13 @@ impl Engine {
         }
     }
 
-    /// Gathers batch mates, sheds expired requests, then either executes
-    /// on this device's fully-resident calculator or fans the batch out
-    /// into per-shard sub-tasks across the pool.
+    /// Gathers batch mates, sheds expired requests, then hands the batch
+    /// to one replica group of the plan's current placement epoch. A
+    /// worker that is the home device of one of the plan's `K = 1`
+    /// groups takes that group and runs the batch itself, with no trip
+    /// through the queue — so the default placement (one such group per
+    /// device) is work-conserving. Otherwise the least-loaded group gets
+    /// the batch as per-shard sub-tasks pinned to their home devices.
     fn dispatch_request(&self, dev: usize, first: EngineRequest, state: &ServeState) {
         let (plan_idx, kind) = (first.plan, first.kind);
         let mut batch = vec![first];
@@ -1411,147 +1335,111 @@ impl Engine {
                 _ => live.push((req, waited_ms)),
             }
         }
-
+        state.metrics.record_batch(sample);
         if live.is_empty() {
-            state.metrics.record_batch(sample);
             return;
         }
+
         let plan = &self.plans[plan_idx];
-        if let Some(cell) = &plan.placement {
-            // Pin the placement epoch for this fan-out before group
-            // selection: a rebalance swapping the cell after this point
-            // only affects *later* dispatches.
-            let epoch = cell.snapshot();
-            let r = epoch.groups.len();
-            // Least-loaded replica group, ties to the lowest index.
-            // Selection and the outstanding increment share one critical
-            // section so concurrent dispatchers never double-book the
-            // idle group.
-            let group = {
-                let mut loads = state.loads[plan_idx].lock().unwrap();
-                if epoch.epoch > loads.ewma_epoch {
-                    // First dispatch on a new generation: reset the
-                    // skew tracker to a balanced prior.
-                    loads.ewma_epoch = epoch.epoch;
-                    loads.ewma_served = vec![1.0 / r as f64; r];
-                    loads.epoch_completions = 0;
-                }
-                let entry = loads
-                    .epochs
-                    .entry(epoch.epoch)
-                    .or_insert_with(|| GroupLoads {
-                        outstanding: vec![0; r],
-                        served: vec![0; r],
-                    });
-                let g = (0..r)
-                    .min_by_key(|&g| entry.outstanding[g])
-                    .expect("a placement has at least one group");
-                entry.outstanding[g] += 1;
-                g
-            };
-            // The binding deadline is the earliest member's *true*
-            // deadline (`submitted_i + budget_i`), never the oldest
-            // submission paired with the batch's minimum budget — a
-            // mate's tight budget binds only from that mate's own,
-            // later submission time.
-            let deadline = live
-                .iter()
-                .filter_map(|(req, _)| {
-                    req.budget_ms
-                        .map(|b| (req.submitted + Duration::from_secs_f64(b / 1e3), b))
-                })
-                .min_by(|a, b| a.0.cmp(&b.0));
-            let shards = epoch.groups[group].shards_for(kind);
-            let fan = Arc::new(FanOut {
-                plan: plan_idx,
-                group,
-                epoch: Arc::clone(&epoch),
-                kind,
-                outputs: Mutex::new(vec![
-                    vec![
-                        0.0;
-                        match kind {
-                            RequestKind::Dose => plan.nrows,
-                            RequestKind::Gradient => plan.ncols,
-                        }
-                    ];
-                    live.len()
-                ]),
-                remaining: AtomicUsize::new(shards.len()),
-                cancelled: AtomicBool::new(false),
-                reports: Mutex::new(Vec::with_capacity(shards.len())),
-                deadline,
-                requests: live,
+        // Pin the placement epoch for this fan-out before group
+        // selection: a re-deal swapping the cell after this point only
+        // affects *later* dispatches.
+        let epoch = plan.placement();
+        let r = epoch.groups.len();
+        let home = epoch
+            .groups
+            .iter()
+            .position(|g| matches!(g.dose_shards.as_slice(), [u] if u.device == dev));
+        // Selection and the outstanding increment share one critical
+        // section so concurrent dispatchers never double-book the idle
+        // group.
+        let group = {
+            let mut loads = state.loads[plan_idx].lock().unwrap();
+            let entry = loads.entry(epoch.epoch).or_insert_with(|| GroupLoads {
+                outstanding: vec![0; r],
+                served: vec![0; r],
             });
-            // Register the fan-out *before* its sub-tasks exist so no
-            // worker can observe closed+empty and exit in between.
-            state.queue.inflight_inc();
+            // Least-loaded replica group, ties to the lowest index.
+            let g = home.unwrap_or_else(|| {
+                (0..r)
+                    .min_by_key(|&g| entry.outstanding[g])
+                    .expect("a placement has at least one group")
+            });
+            entry.outstanding[g] += 1;
+            g
+        };
+        // The binding deadline is the earliest member's *true*
+        // deadline (`submitted_i + budget_i`), never the oldest
+        // submission paired with the batch's minimum budget — a mate's
+        // tight budget binds only from that mate's own, later
+        // submission time.
+        let deadline = live
+            .iter()
+            .filter_map(|(req, _)| {
+                req.budget_ms
+                    .map(|b| (req.submitted + Duration::from_secs_f64(b / 1e3), b))
+            })
+            .min_by(|a, b| a.0.cmp(&b.0));
+        let n_units = epoch.groups[group].units(kind).len();
+        let out_len = match kind {
+            RequestKind::Dose => plan.source.matrix.nrows(),
+            RequestKind::Gradient => plan.source.matrix.ncols(),
+        };
+        let fan = Arc::new(FanOut {
+            plan: plan_idx,
+            group,
+            epoch,
+            kind,
+            outputs: Mutex::new(if n_units > 1 {
+                vec![vec![0.0; out_len]; live.len()]
+            } else {
+                Vec::new()
+            }),
+            remaining: AtomicUsize::new(n_units),
+            cancelled: AtomicBool::new(false),
+            reports: Mutex::new(Vec::with_capacity(n_units)),
+            deadline,
+            requests: live,
+        });
+        // Register the fan-out *before* its sub-tasks exist so no
+        // worker can observe closed+empty and exit in between.
+        state.queue.inflight_inc();
+        if home.is_some() {
+            self.run_shard(
+                dev,
+                ShardTask {
+                    shard: 0,
+                    device: dev,
+                    fan,
+                },
+                state,
+            );
+        } else {
             state
                 .queue
-                .push_all_internal(shards.iter().enumerate().map(|(s, u)| {
+                .push_all_internal(fan.units().iter().enumerate().map(|(s, u)| {
                     WorkItem::Shard(ShardTask {
                         shard: s,
                         device: u.device,
                         fan: Arc::clone(&fan),
                     })
                 }));
-            state.metrics.record_batch(sample);
-            return;
         }
-
-        let calc = &plan.calcs[dev];
-        let inputs: Vec<&[f64]> = live.iter().map(|(r, _)| r.payload.as_slice()).collect();
-        let result = match kind {
-            RequestKind::Dose => calc.compute_dose_batch(&inputs),
-            RequestKind::Gradient => calc.compute_gradient_batch(&inputs),
-        };
-        match result {
-            Ok(batch_result) => {
-                sample.launches = 1;
-                sample.batches = 1;
-                sample.batch_size = live.len() as u64;
-                sample.completed = live.len() as u64;
-                sample.modeled_seconds = batch_result.report.estimate.seconds;
-                let report = batch_result.report;
-                for ((req, waited_ms), output) in live.into_iter().zip(batch_result.outputs) {
-                    sample
-                        .timings
-                        .push((waited_ms, ms(req.submitted.elapsed())));
-                    req.slot.complete(Ok(EngineResponse {
-                        output,
-                        report: report.clone(),
-                        device: self.devices[dev].name.to_string(),
-                        batch_size: sample.batch_size as usize,
-                        queue_ms: waited_ms,
-                        shards: None,
-                    }));
-                }
-            }
-            Err(e) => {
-                // Unreachable through validated admission, but a
-                // worker must never panic: fail the whole batch.
-                sample.failed = live.len() as u64;
-                for (req, _) in live {
-                    req.slot.complete(Err(e.clone()));
-                }
-            }
-        }
-        state.metrics.record_batch(sample);
     }
 
     /// Executes one shard sub-task on its home device: deadline check,
-    /// batched sub-SpMV, disjoint scatter, and — when this shard is the
-    /// last to land — report merge and reply completion.
+    /// batched launch, output landing, and — when this shard is the last
+    /// to land — reply completion.
     fn run_shard(&self, dev: usize, task: ShardTask, state: &ServeState) {
         if let Some(&(_, delay_ms)) = self.debug_delays.iter().find(|(d, _)| *d == dev) {
             std::thread::sleep(Duration::from_secs_f64(delay_ms / 1e3));
         }
         let fan = &task.fan;
-        let plan = &self.plans[fan.plan];
         // Resolve the shard against the epoch this fan-out was dealt
-        // under, not the plan's current placement — a rebalance may have
+        // under, not the plan's current placement — a re-deal may have
         // swapped the cell while this sub-task sat in the queue.
-        let unit = &fan.epoch.groups[fan.group].shards_for(fan.kind)[task.shard];
+        let units = fan.units();
+        let unit = &units[task.shard];
         let mut sample = empty_sample(dev);
 
         // A deadline that expired while sub-tasks sat behind a slow
@@ -1592,44 +1480,37 @@ impl Engine {
             .iter()
             .map(|(r, _)| r.payload.as_slice())
             .collect();
-        // Both directions run as a *forward* batched SpMV: gradient
-        // shards hold rows of the transpose.
-        match unit.calc.compute_dose_batch(&inputs) {
+        // A whole-matrix unit serves gradients from its transpose; a
+        // gradient shard holds rows of the transpose, so it runs forward.
+        let result = match fan.kind {
+            RequestKind::Gradient if unit.calc.has_transpose() => {
+                unit.calc.compute_gradient_batch(&inputs)
+            }
+            _ => unit.calc.compute_dose_batch(&inputs),
+        };
+        match result {
             Ok(br) => {
                 {
                     let mut out = fan.outputs.lock().unwrap();
-                    for (v, part) in br.outputs.iter().enumerate() {
-                        out[v][unit.row_start..unit.row_end].copy_from_slice(part);
+                    if units.len() == 1 {
+                        *out = br.outputs;
+                    } else {
+                        for (v, part) in br.outputs.iter().enumerate() {
+                            out[v][unit.row_start..unit.row_end].copy_from_slice(part);
+                        }
                     }
                 }
                 // One *physical* launch sequence on this device; the
-                // fan-out's request batch is counted once, at merge
-                // time, so sharding never inflates the batch metrics.
+                // fan-out's request batch is counted once, at completion,
+                // so sharding never inflates the batch metrics.
                 sample.launches = 1;
                 sample.modeled_seconds = br.report.estimate.seconds;
-                let spec = &self.devices[unit.device];
-                let gather_bytes = unit.gather_bytes * inputs.len() as u64;
-                fan.reports.lock().unwrap().push(ShardReport {
-                    shard: task.shard,
-                    device: spec.name.to_string(),
-                    row_start: unit.row_start as u64,
-                    rows: (unit.row_end - unit.row_start) as u64,
-                    nnz: unit.nnz,
-                    dispatch: if unit.calc.is_partitioned() {
-                        "bucketed".to_string()
-                    } else {
-                        format!("w={}", unit.calc.tile_width())
-                    },
-                    stats: br.report.stats.clone(),
-                    estimate: br.report.estimate.clone(),
-                    gather_bytes,
-                    gather_seconds: gather_estimate(spec, gather_bytes),
-                });
+                fan.reports.lock().unwrap().push((task.shard, br.report));
                 if fan.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
                     let completed = !fan.cancelled.load(Ordering::SeqCst);
                     self.retire_fan(fan, state, completed);
                     if completed {
-                        self.complete_fan(plan, fan, &mut sample);
+                        self.complete_fan(fan, &mut sample);
                     }
                 }
             }
@@ -1653,62 +1534,95 @@ impl Engine {
     }
 
     /// Last shard of a fan-out retired (completed, shed, or failed):
-    /// release the queue's in-flight hold and return the replica
-    /// group's load slot in the epoch it was dealt under, counting
-    /// completed fan-outs toward its served tally — and, on the current
-    /// epoch, feed the EWMA skew tracker. A group whose served share
-    /// has decayed below `SKEW_SHARE_FLOOR / R` while it still holds
-    /// outstanding work is starved behind a slow member: the plan is
-    /// re-dealt over the live devices (epoch swap), which also resets
-    /// the tracker.
+    /// release the queue's in-flight hold and return the replica group's
+    /// load slot in the epoch it was dealt under, counting completed
+    /// fan-outs toward its served tally.
     fn retire_fan(&self, fan: &FanOut, state: &ServeState, completed: bool) {
         state.queue.inflight_dec();
-        let skewed = {
-            let mut loads = state.loads[fan.plan].lock().unwrap();
-            let entry = loads
-                .epochs
-                .get_mut(&fan.epoch.epoch)
-                .expect("dispatch created this epoch's load row");
-            entry.outstanding[fan.group] -= 1;
-            if completed {
-                entry.served[fan.group] += 1;
-            }
-            if completed && fan.epoch.epoch == loads.ewma_epoch && loads.ewma_served.len() >= 2 {
-                loads.epoch_completions += 1;
-                let group = fan.group;
-                for (g, share) in loads.ewma_served.iter_mut().enumerate() {
-                    let hit = if g == group { 1.0 } else { 0.0 };
-                    *share = (1.0 - SKEW_EWMA_ALPHA) * *share + SKEW_EWMA_ALPHA * hit;
-                }
-                let r = loads.ewma_served.len() as f64;
-                let entry = &loads.epochs[&fan.epoch.epoch];
-                loads.epoch_completions >= SKEW_MIN_COMPLETIONS
-                    && loads
-                        .ewma_served
-                        .iter()
-                        .enumerate()
-                        .any(|(g, &share)| share < SKEW_SHARE_FLOOR / r && entry.outstanding[g] > 0)
-            } else {
-                false
-            }
-        };
-        if skewed {
-            self.rebalance_plan(fan.plan);
+        let mut loads = state.loads[fan.plan].lock().unwrap();
+        let entry = loads
+            .get_mut(&fan.epoch.epoch)
+            .expect("dispatch created this epoch's load row");
+        entry.outstanding[fan.group] -= 1;
+        if completed {
+            entry.served[fan.group] += 1;
         }
     }
 
-    /// Last shard landed: sort the per-shard reports into row order,
-    /// merge counters, model the critical path (slowest compute + gather
-    /// over the interconnect), and complete every reply slot.
-    fn complete_fan(&self, plan: &Plan, fan: &Arc<FanOut>, sample: &mut BatchSample) {
-        let mut reports = std::mem::take(&mut *fan.reports.lock().unwrap());
-        reports.sort_by_key(|r| r.shard);
+    /// Last shard landed: complete every reply slot. A single shard has
+    /// nothing to merge, so its members get the unit's own launch
+    /// report and no shard breakdown.
+    fn complete_fan(&self, fan: &FanOut, sample: &mut BatchSample) {
+        let reports = std::mem::take(&mut *fan.reports.lock().unwrap());
+        let (report, shards) = match <[_; 1]>::try_from(reports) {
+            Ok([(_, only)]) => (only, None),
+            Err(reports) => {
+                let (report, sharded) = self.merge_shards(fan, reports);
+                (report, Some(sharded))
+            }
+        };
+        let outputs = std::mem::take(&mut *fan.outputs.lock().unwrap());
+        sample.completed = fan.requests.len() as u64;
+        // The fan-out's request batch counts once — here — regardless of
+        // how many shards executed it.
+        sample.batches = 1;
+        sample.batch_size = fan.requests.len() as u64;
+        for ((req, waited_ms), output) in fan.requests.iter().zip(outputs) {
+            sample
+                .timings
+                .push((*waited_ms, ms(req.submitted.elapsed())));
+            req.slot.complete(Ok(EngineResponse {
+                output,
+                report: report.clone(),
+                device: report.device.clone(),
+                batch_size: fan.requests.len(),
+                queue_ms: *waited_ms,
+                shards: shards.clone(),
+            }));
+        }
+    }
+
+    /// Merges a multi-shard fan-out's launch reports: sorts them into row
+    /// order, charges each shard the modeled gather of its rows, and
+    /// models the critical path (slowest compute + gather over the
+    /// interconnect). The merged report carries the accumulated counters
+    /// with the critical-path time, bound/frac_peak_bw taken from the
+    /// shard on that path.
+    fn merge_shards(
+        &self,
+        fan: &FanOut,
+        mut reports: Vec<(usize, LaunchReport)>,
+    ) -> (LaunchReport, ShardedReport) {
+        reports.sort_by_key(|(s, _)| *s);
+        let units = fan.units();
+        let vectors = fan.requests.len() as u64;
+        let shards = reports
+            .into_iter()
+            .map(|(s, r)| {
+                let unit = &units[s];
+                let spec = &self.devices[unit.device];
+                let gather_bytes = unit.gather_bytes * vectors;
+                ShardReport {
+                    shard: s,
+                    device: spec.name.to_string(),
+                    row_start: unit.row_start as u64,
+                    rows: (unit.row_end - unit.row_start) as u64,
+                    nnz: unit.nnz,
+                    dispatch: if unit.calc.is_partitioned() {
+                        "bucketed".to_string()
+                    } else {
+                        format!("w={}", unit.calc.tile_width())
+                    },
+                    stats: r.stats,
+                    estimate: r.estimate,
+                    gather_bytes,
+                    gather_seconds: gather_estimate(spec, gather_bytes),
+                }
+            })
+            .collect();
         // Engine calculators always run the production profile.
         let kernel = "Half/double";
-        let sharded = ShardedReport::new(kernel, reports);
-        // The merged LaunchReport carries accumulated counters with the
-        // critical-path time, bound/frac_peak_bw taken from the shard on
-        // that path.
+        let sharded = ShardedReport::new(kernel, shards);
         let critical = sharded
             .shards
             .iter()
@@ -1726,34 +1640,21 @@ impl Engine {
                 / estimate.seconds
                 / 1e9;
         }
-        let device = sharded.devices.join("+");
         // The merged report carries the direction-correct width: the
         // gradient direction runs at its own pinned decision.
-        let fan_width = match fan.kind {
+        let plan = &self.plans[fan.plan];
+        let width = match fan.kind {
             RequestKind::Dose => plan.choice.tile_width,
             RequestKind::Gradient => plan.grad_choice.tile_width,
         };
-        let report = LaunchReport::new(kernel, device.clone(), sharded.stats.clone(), estimate)
-            .with_tile_width(fan_width);
-        let outputs = std::mem::take(&mut *fan.outputs.lock().unwrap());
-        sample.completed = fan.requests.len() as u64;
-        // The fan-out's request batch counts once — here, at merge —
-        // regardless of how many shards executed it.
-        sample.batches = 1;
-        sample.batch_size = fan.requests.len() as u64;
-        for ((req, waited_ms), output) in fan.requests.iter().zip(outputs) {
-            sample
-                .timings
-                .push((*waited_ms, ms(req.submitted.elapsed())));
-            req.slot.complete(Ok(EngineResponse {
-                output,
-                report: report.clone(),
-                device: device.clone(),
-                batch_size: fan.requests.len(),
-                queue_ms: *waited_ms,
-                shards: Some(sharded.clone()),
-            }));
-        }
+        let report = LaunchReport::new(
+            kernel,
+            sharded.devices.join("+"),
+            sharded.stats.clone(),
+            estimate,
+        )
+        .with_tile_width(width);
+        (report, sharded)
     }
 }
 
@@ -1813,8 +1714,8 @@ impl EngineClient<'_> {
             }
         }
         let (what, expected) = match kind {
-            RequestKind::Dose => ("weights", p.ncols),
-            RequestKind::Gradient => ("residual", p.nrows),
+            RequestKind::Dose => ("weights", p.source.matrix.ncols()),
+            RequestKind::Gradient => ("residual", p.source.matrix.nrows()),
         };
         if payload.len() != expected {
             return Err(RtError::DimensionMismatch {
@@ -1906,16 +1807,16 @@ impl EngineClient<'_> {
     }
 
     /// Drains pool device `d` for maintenance mid-session: no new
-    /// requests or shard homes land on it, every placed plan holding
-    /// shards there is re-dealt over the surviving devices, and
-    /// in-flight fan-outs finish on their old placement epoch. See
+    /// requests or groups land on it, every plan is re-dealt over the
+    /// surviving devices, and in-flight fan-outs finish on their old
+    /// placement epoch. See
     /// [`Engine::drain_device`].
     pub fn drain_device(&self, d: usize) -> Result<(), RtError> {
         self.engine.drain_device(d)
     }
 
-    /// Returns a drained device to service and re-deals every placed
-    /// plan over the grown pool. See [`Engine::undrain_device`].
+    /// Returns a drained device to service and re-deals every plan over
+    /// the grown pool. See [`Engine::undrain_device`].
     pub fn undrain_device(&self, d: usize) -> Result<(), RtError> {
         self.engine.undrain_device(d)
     }
@@ -2054,6 +1955,93 @@ mod tests {
         assert!(outcome.is_ok());
         assert_eq!(report.completed, 1);
         assert_eq!(report.submitted, 1);
+    }
+
+    #[test]
+    fn dropped_requests_fail_their_tickets() {
+        let e = engine_one_device();
+        let request = || {
+            let slot = ReplySlot::new();
+            let ticket = Ticket {
+                slot: Arc::clone(&slot),
+            };
+            let req = EngineRequest {
+                plan: 0,
+                kind: RequestKind::Dose,
+                payload: vec![1.0; 3],
+                submitted: Instant::now(),
+                budget_ms: None,
+                slot,
+            };
+            (req, ticket)
+        };
+
+        // A bare request dropped unanswered.
+        let (req, ticket) = request();
+        drop(req);
+        assert_eq!(ticket.wait().unwrap_err(), RtError::RequestDropped);
+
+        // A fan-out dropped before its shard landed fails every member,
+        // exactly once.
+        let (a, ta) = request();
+        let (b, tb) = request();
+        let fan = FanOut {
+            plan: 0,
+            group: 0,
+            epoch: e.plans[0].placement(),
+            kind: RequestKind::Dose,
+            requests: vec![(a, 0.0), (b, 0.0)],
+            outputs: Mutex::new(Vec::new()),
+            remaining: AtomicUsize::new(1),
+            cancelled: AtomicBool::new(false),
+            reports: Mutex::new(Vec::new()),
+            deadline: None,
+        };
+        assert_eq!(format!("{ta:?}"), "Ticket { completed: false }");
+        drop(fan);
+        assert_eq!(format!("{ta:?}"), "Ticket { completed: true }");
+        assert_eq!(ta.wait().unwrap_err(), RtError::RequestDropped);
+        assert_eq!(tb.wait().unwrap_err(), RtError::RequestDropped);
+
+        // An answered request's drop leaves its reply alone.
+        let (req, ticket) = request();
+        req.slot.complete(Err(RtError::EngineShutdown));
+        drop(req);
+        assert_eq!(ticket.wait().unwrap_err(), RtError::EngineShutdown);
+    }
+
+    #[test]
+    fn redeals_share_unchanged_groups() {
+        let mut e = Engine::builder()
+            .devices([DeviceSpec::a100(), DeviceSpec::a100(), DeviceSpec::v100()])
+            .build()
+            .unwrap();
+        e.register_plan("demo", &small_matrix()).unwrap();
+        let groups = |e: &Engine| e.plans[0].placement().groups.clone();
+        let before = groups(&e);
+        assert_eq!(before.len(), 3, "one K=1 group per device");
+
+        e.drain_device(2).unwrap();
+        let drained = groups(&e);
+        assert_eq!(drained.len(), 2);
+        for (old, new) in before.iter().zip(&drained) {
+            assert!(Arc::ptr_eq(old, new), "surviving group was rebuilt");
+        }
+        assert_eq!(e.plan_rebalances("demo"), Some(1));
+        assert_eq!(e.plans[0].resident_bytes_on(2), 0);
+
+        e.undrain_device(2).unwrap();
+        let restored = groups(&e);
+        assert_eq!(restored.len(), 3);
+        assert!(Arc::ptr_eq(&before[0], &restored[0]));
+        assert!(Arc::ptr_eq(&before[1], &restored[1]));
+        assert_eq!(e.plan_rebalances("demo"), Some(2));
+
+        // A re-deal that changes nothing swaps no epoch.
+        let live = e.live_devices();
+        e.redeal_plan(&e.plans[0], &live).unwrap();
+        assert_eq!(e.plan_rebalances("demo"), Some(2));
+        assert_eq!(e.plans[0].placement().epoch, 2);
     }
 
     #[test]

@@ -18,16 +18,18 @@
 //! * **Per-plan execution policy** — [`Engine::register_plan_with`]
 //!   takes an [`ExecPolicy`] (kernel selection × sharding × replication),
 //!   so plans on the same engine can run completely different layouts.
-//! * **Replica × shard placement** — a placed plan is dealt across `R`
+//! * **Replica × shard placement** — every plan is dealt across `R`
 //!   disjoint replica groups of the pool (snake-dealt by modeled device
 //!   bandwidth, so groups are matched in strength), each holding `K`
-//!   throughput-weighted row-range shards. `K` comes from a break-even
-//!   model ([`rt_core::choose_shard_count`]) under [`ShardSpec::Auto`] —
+//!   throughput-weighted row-range shards; the default is one
+//!   whole-matrix group per device. `K` comes from a break-even model
+//!   ([`rt_core::choose_shard_count`]) under [`ShardSpec::Auto`] —
 //!   small plans stay whole, large plans split until the next shard's
-//!   launch + gather overhead outweighs its bandwidth. Dispatch picks
-//!   the least-loaded group per request; within a group the request fans
-//!   out into per-shard sub-tasks whose disjoint results scatter into
-//!   one bitwise-exact dose.
+//!   launch + gather overhead outweighs its bandwidth. A worker that
+//!   homes a `K = 1` group of the plan runs the batch itself; otherwise
+//!   dispatch picks the least-loaded group, and within it the request
+//!   fans out into per-shard sub-tasks whose disjoint results scatter
+//!   into one bitwise-exact dose.
 //! * **Admission control** — a bounded queue: [`EngineClient::submit`]
 //!   blocks when full (backpressure), [`EngineClient::try_submit`] sheds
 //!   with [`RtError::QueueFull`]; per-request deadlines shed stale work

@@ -59,13 +59,12 @@ pub struct PlanSelection {
     /// transpose's own row plan (partitioned plans only). Only populated
     /// buckets appear.
     pub grad_buckets: Vec<BucketSelection>,
-    /// Row-range shards of the dose matrix, in row order (placed plans
-    /// only; for replicated plans these are replica group 0's shards —
-    /// other groups may cut differently when their device mix differs).
-    /// Empty when the plan is fully resident on every device.
+    /// Row-range shards of the dose matrix, in row order (replica group
+    /// 0's shards — other groups may cut differently when their device
+    /// mix differs). A `K = 1` plan lists one shard covering all rows.
     pub shards: Vec<PlanShard>,
-    /// Replica × shard placement of the plan (placed plans only; `None`
-    /// when the plan runs the classic fully-resident path).
+    /// Replica × shard placement of the plan (the engine fills it for
+    /// every plan).
     pub placement: Option<PlacementSelection>,
 }
 
@@ -84,8 +83,8 @@ pub struct PlacementSelection {
     /// [`ShardSpec::Auto`]: crate::ShardSpec::Auto
     pub auto_shards: bool,
     /// Rebalance events this plan's placement absorbed over its
-    /// lifetime: drain/undrain re-deals plus skew-triggered re-deals,
-    /// each an atomic epoch swap.
+    /// lifetime: drain/undrain re-deals that changed at least one
+    /// replica group, each an atomic epoch swap.
     pub rebalances: u64,
     /// Per-group membership and served-request tallies (the current
     /// placement epoch's groups; served counts are per-epoch).
@@ -132,7 +131,8 @@ pub struct PlanShard {
     pub rows: u64,
     /// Stored entries in the sub-matrix.
     pub nnz: u64,
-    /// Device bytes the shard pins on its home device (dose direction).
+    /// Device bytes the shard pins on its home device (dose direction;
+    /// a `K = 1` shard holds the transpose too).
     pub resident_bytes: u64,
 }
 

@@ -1,22 +1,18 @@
 //! Per-plan execution policy: every knob that decides *how* a plan runs.
 //!
-//! Before this module, execution configuration was scattered across the
-//! engine builder (`shards`, `kernel_select`) and applied uniformly to
-//! every plan. [`ExecPolicy`] collapses those knobs into one validated
-//! value that travels with the plan — [`crate::Engine::register_plan_with`]
-//! accepts a policy per plan, so a small prostate matrix can stay fully
-//! resident while an 800k-row liver beam on the same engine is placed as
-//! replicas × shards.
-//!
-//! The three axes:
+//! [`ExecPolicy`] is one validated value that travels with the plan —
+//! [`crate::Engine::register_plan_with`] accepts a policy per plan. Every
+//! plan is placed: the live pool is dealt into `R` replica groups, each
+//! holding the plan as `K` row-range shards. The default (`K = 1`, `R` =
+//! live devices) gives every device one calculator holding the whole
+//! matrix and its transpose. The three axes:
 //!
 //! * **kernel selection** ([`rt_core::KernelSelect`]) — how tile widths
 //!   are picked at registration (fixed width, heuristic, measured probe,
 //!   bucketed partition).
-//! * **sharding** ([`ShardSpec`]) — whether one request is split into
-//!   row-range shards executed cooperatively, and whether the shard
-//!   count is forced or chosen by the break-even model
-//!   ([`rt_core::choose_shard_count`]).
+//! * **sharding** ([`ShardSpec`]) — how many row-range shards one
+//!   request is split into within a group, forced or chosen by the
+//!   break-even model ([`rt_core::choose_shard_count`]).
 //! * **replication** ([`ReplicaSpec`]) — how many independent copies of
 //!   the plan's residency the pool holds. Each replica group serves
 //!   whole requests; more groups mean more concurrent requests, fewer
@@ -29,30 +25,35 @@
 
 use rt_core::{KernelSelect, RtError};
 
-/// How (and whether) a plan is row-sharded within each replica group.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// How many row-range shards a plan is split into within each replica
+/// group.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardSpec {
-    /// No sharding: the plan is fully resident per device (classic
-    /// serving; each request runs on one device). The default.
-    #[default]
-    Off,
     /// Let the break-even model pick the shard count per replica group —
     /// small plans resolve to 1 shard, large plans split until the next
     /// shard's launch + gather overhead outweighs its bandwidth.
     Auto,
     /// Force exactly this many shards per replica group (clamped per
     /// plan to its row count). Counts above the group size stack shards
-    /// round-robin on the group's devices.
+    /// round-robin on the group's devices. `Fixed(1)`, the default,
+    /// keeps the plan whole: one calculator per group holds the matrix
+    /// and its transpose.
     Fixed(usize),
 }
 
-/// How many replica groups a placed plan is dealt across.
+impl Default for ShardSpec {
+    fn default() -> Self {
+        ShardSpec::Fixed(1)
+    }
+}
+
+/// How many replica groups a plan is dealt across.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ReplicaSpec {
-    /// Derive the group count from the resolved shard count: the pool is
-    /// divided into `pool / K` groups so every group can hold a full
-    /// shard set. With [`ShardSpec::Off`] this is the classic
-    /// fully-resident engine. The default.
+    /// Derive the group count from the resolved shard count: the live
+    /// pool is divided into `live / K` groups so every group can hold a
+    /// full shard set. With the default `K = 1` every live device is its
+    /// own group. The default.
     #[default]
     Auto,
     /// Force exactly this many replica groups (must not exceed the
@@ -63,23 +64,13 @@ pub enum ReplicaSpec {
 /// A validated per-plan execution policy; see the module docs.
 ///
 /// Obtained from [`ExecPolicy::builder`]; the default policy
-/// (`ExecPolicy::default()`) is heuristic width selection, no sharding,
-/// auto replicas — exactly the pre-policy engine's behavior.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// (`ExecPolicy::default()`) is heuristic width selection, one shard per
+/// group and auto replicas — one whole-matrix group per live device.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecPolicy {
     pub(crate) kernel_select: KernelSelect,
     pub(crate) shards: ShardSpec,
     pub(crate) replicas: ReplicaSpec,
-}
-
-impl Default for ExecPolicy {
-    fn default() -> Self {
-        ExecPolicy {
-            kernel_select: KernelSelect::Heuristic,
-            shards: ShardSpec::Off,
-            replicas: ReplicaSpec::Auto,
-        }
-    }
 }
 
 impl ExecPolicy {
@@ -147,7 +138,7 @@ impl ExecPolicyBuilder {
         self.kernel_select(KernelSelect::Fixed(w))
     }
 
-    /// Sharding axis (default [`ShardSpec::Off`]).
+    /// Sharding axis (default `ShardSpec::Fixed(1)`).
     pub fn shards(mut self, spec: ShardSpec) -> Self {
         self.policy.shards = spec;
         self
@@ -177,7 +168,7 @@ mod tests {
     fn default_policy_is_the_classic_engine() {
         let p = ExecPolicy::default();
         assert_eq!(p.kernel_select(), KernelSelect::Heuristic);
-        assert_eq!(p.shards(), ShardSpec::Off);
+        assert_eq!(p.shards(), ShardSpec::Fixed(1));
         assert_eq!(p.replicas(), ReplicaSpec::Auto);
         assert!(p.validate().is_ok());
     }

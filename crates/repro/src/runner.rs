@@ -107,9 +107,19 @@ pub fn sim_gpu(case: &PreparedCase, device: &DeviceSpec) -> Gpu {
     Gpu::with_mode(device.with_l2_bytes(l2), ExecMode::Parallel)
 }
 
+/// [`sim_gpu`] on the sequential executor, whose traffic counters are
+/// exactly reproducible — for comparisons made at the margin.
+pub fn sim_gpu_sequential(case: &PreparedCase, device: &DeviceSpec) -> Gpu {
+    Gpu::with_mode(sim_gpu(case, device).spec().clone(), ExecMode::Sequential)
+}
+
 /// The Half/double kernel (the paper's contribution).
 pub fn run_half_double(case: &PreparedCase, device: &DeviceSpec, tpb: u32) -> Measured {
-    let gpu = sim_gpu(case, device);
+    half_double_on(sim_gpu(case, device), case, device, tpb)
+}
+
+/// [`run_half_double`] on a given simulated GPU.
+pub fn half_double_on(gpu: Gpu, case: &PreparedCase, device: &DeviceSpec, tpb: u32) -> Measured {
     let m = GpuCsrMatrix::upload(&gpu, &case.f16);
     let x = gpu.upload(&case.weights);
     let y = gpu.alloc_out::<f64>(case.f16.nrows());
@@ -165,7 +175,11 @@ pub fn run_baseline(case: &PreparedCase, device: &DeviceSpec, tpb: u32) -> Measu
 
 /// The scalar (thread-per-row) ablation kernel.
 pub fn run_scalar(case: &PreparedCase, device: &DeviceSpec, tpb: u32) -> Measured {
-    let gpu = sim_gpu(case, device);
+    scalar_on(sim_gpu(case, device), case, device, tpb)
+}
+
+/// [`run_scalar`] on a given simulated GPU.
+pub fn scalar_on(gpu: Gpu, case: &PreparedCase, device: &DeviceSpec, tpb: u32) -> Measured {
     let m = GpuCsrMatrix::upload(&gpu, &case.f16);
     let x = gpu.upload(&case.weights);
     let y = gpu.alloc_out::<f64>(case.f16.nrows());

@@ -137,11 +137,11 @@ fn parse_shards(flags: &HashMap<String, String>) -> Option<Option<usize>> {
 }
 
 /// serve-demo `--shards`: maps 1:1 onto [`ShardSpec`] — absent means
-/// no sharding, `auto` defers to the break-even model at registration,
+/// one whole-matrix shard per group, `auto` defers to the break-even model at registration,
 /// an integer forces the per-group shard count.
 fn parse_shard_spec(flags: &HashMap<String, String>) -> ShardSpec {
     match parse_shards(flags) {
-        None => ShardSpec::Off,
+        None => ShardSpec::default(),
         Some(None) => ShardSpec::Auto,
         Some(Some(k)) => ShardSpec::Fixed(k),
     }
@@ -1054,7 +1054,7 @@ fn cmd_serve_demo(flags: HashMap<String, String>) {
                                     match client.drain_device(drain_target) {
                                         Ok(()) => println!(
                                             "  drained device {drain_target} after {served} requests; \
-                                             placed plans re-dealt over the live pool"
+                                             every plan re-dealt over the live pool"
                                         ),
                                         Err(e) => eprintln!(
                                             "  drain of device {drain_target} failed: {e}"
