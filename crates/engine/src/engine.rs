@@ -3,9 +3,10 @@
 //! # Architecture
 //!
 //! One worker thread per simulated device, all popping from one bounded
-//! FIFO ([`BoundedQueue`]). A worker that pops a request immediately
-//! gathers up to `max_batch - 1` queued *compatible* requests (same plan,
-//! same operation) and executes them as one multi-vector launch sequence
+//! FIFO ([`BoundedQueue`]). A worker pops a request together with up to
+//! `max_batch - 1` queued *compatible* requests (same plan, same
+//! operation), in one critical section so no other worker can take a
+//! mate in between, and executes them as one multi-vector launch sequence
 //! ([`DoseCalculator::compute_dose_batch`]), so concurrent traffic for
 //! the same matrix shares its bytes.
 //!
@@ -1285,39 +1286,50 @@ impl Engine {
     fn worker(&self, dev: usize, state: &ServeState) {
         loop {
             state.gate.wait_open();
-            let Some(item) = state.queue.pop_matching(|it| match it {
-                WorkItem::Request(_) => !self.drained[dev].load(Ordering::SeqCst),
-                WorkItem::Shard(t) => t.device == dev,
-            }) else {
+            // The first request and its batch mates (same plan, same
+            // operation) leave the queue in one critical section.
+            let Some((item, mates)) = state.queue.pop_batch(
+                self.max_batch - 1,
+                |it| match it {
+                    WorkItem::Request(_) => !self.drained[dev].load(Ordering::SeqCst),
+                    WorkItem::Shard(t) => t.device == dev,
+                },
+                |first, it| match (first, it) {
+                    (WorkItem::Request(a), WorkItem::Request(b)) => {
+                        a.plan == b.plan && a.kind == b.kind
+                    }
+                    _ => false,
+                },
+            ) else {
                 return;
             };
             match item {
-                WorkItem::Request(first) => self.dispatch_request(dev, first, state),
+                WorkItem::Request(first) => self.dispatch_request(dev, first, mates, state),
                 WorkItem::Shard(task) => self.run_shard(dev, task, state),
             }
         }
     }
 
-    /// Gathers batch mates, sheds expired requests, then hands the batch
-    /// to one replica group of the plan's current placement epoch. A
+    /// Sheds expired requests of a batch, then hands the rest to one
+    /// replica group of the plan's current placement epoch. A
     /// worker that is the home device of one of the plan's `K = 1`
     /// groups takes that group and runs the batch itself, with no trip
     /// through the queue — so the default placement (one such group per
     /// device) is work-conserving. Otherwise the least-loaded group gets
     /// the batch as per-shard sub-tasks pinned to their home devices.
-    fn dispatch_request(&self, dev: usize, first: EngineRequest, state: &ServeState) {
+    fn dispatch_request(
+        &self,
+        dev: usize,
+        first: EngineRequest,
+        mates: Vec<WorkItem>,
+        state: &ServeState,
+    ) {
         let (plan_idx, kind) = (first.plan, first.kind);
         let mut batch = vec![first];
-        if self.max_batch > 1 {
-            let mates = state.queue.drain_matching(
-                self.max_batch - 1,
-                |it| matches!(it, WorkItem::Request(r) if r.plan == plan_idx && r.kind == kind),
-            );
-            batch.extend(mates.into_iter().map(|it| match it {
-                WorkItem::Request(r) => r,
-                WorkItem::Shard(_) => unreachable!("predicate admits requests only"),
-            }));
-        }
+        batch.extend(mates.into_iter().map(|it| match it {
+            WorkItem::Request(r) => r,
+            WorkItem::Shard(_) => unreachable!("mates are requests only"),
+        }));
 
         let dispatch = Instant::now();
         let mut sample = empty_sample(dev);

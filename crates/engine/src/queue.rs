@@ -16,9 +16,10 @@
 //! Row-sharded dispatch adds two internal paths on top of admission:
 //! [`BoundedQueue::push_all_internal`] enqueues shard sub-tasks for an
 //! already-admitted request (exempt from capacity and close — see its
-//! doc), and [`BoundedQueue::pop_matching`] lets each worker pop only
-//! requests or sub-tasks pinned to its device, staying parked after
-//! close while a fan-out is still in flight.
+//! doc), and [`BoundedQueue::pop_batch`] lets each worker pop only
+//! requests or sub-tasks pinned to its device, together with the
+//! request's batch mates, staying parked after close while a fan-out is
+//! still in flight.
 
 use rt_core::RtError;
 use std::collections::VecDeque;
@@ -75,7 +76,7 @@ impl<T> BoundedQueue<T> {
         g.max_depth = g.max_depth.max(g.items.len());
         drop(g);
         // notify_all, not notify_one: poppers are *selective*
-        // (`pop_matching`), so a single wakeup could land on a worker
+        // (`pop_batch`), so a single wakeup could land on a worker
         // whose predicate rejects the new item — e.g. a drained device
         // refusing requests — which would re-sleep and strand the item.
         self.not_empty.notify_all();
@@ -120,19 +121,36 @@ impl<T> BoundedQueue<T> {
         self.not_empty.notify_all();
     }
 
-    /// Dequeues the oldest item matching `pred` (FIFO among matches; the
-    /// rest keep their order), blocking while none matches. Returns
-    /// `None` once the queue is closed, no match remains, *and* no
-    /// fan-out is in flight — an in-flight fan-out may still enqueue
-    /// shard sub-tasks this popper is pinned to.
-    pub fn pop_matching(&self, pred: impl Fn(&T) -> bool) -> Option<T> {
+    /// Dequeues the oldest item matching `pred` together with up to
+    /// `max_mates` later items `mate` accepts for it, all in one critical
+    /// section, so no other popper can take a mate in between. FIFO order
+    /// holds among the mates and among the items left behind. Blocks
+    /// while no item matches `pred`. Returns `None` once the queue is
+    /// closed, no match remains, *and* no fan-out is in flight — an
+    /// in-flight fan-out may still enqueue shard sub-tasks this popper is
+    /// pinned to.
+    pub fn pop_batch(
+        &self,
+        max_mates: usize,
+        pred: impl Fn(&T) -> bool,
+        mate: impl Fn(&T, &T) -> bool,
+    ) -> Option<(T, Vec<T>)> {
         let mut g = self.inner.lock().unwrap();
         loop {
             if let Some(i) = g.items.iter().position(&pred) {
-                let item = g.items.remove(i).unwrap();
+                let first = g.items.remove(i).unwrap();
+                let mut mates = Vec::new();
+                let mut j = i;
+                while j < g.items.len() && mates.len() < max_mates {
+                    if mate(&first, &g.items[j]) {
+                        mates.push(g.items.remove(j).unwrap());
+                    } else {
+                        j += 1;
+                    }
+                }
                 drop(g);
                 self.not_full.notify_all();
-                return Some(item);
+                return Some((first, mates));
             }
             if g.closed && g.inflight == 0 {
                 return None;
@@ -174,28 +192,6 @@ impl<T> BoundedQueue<T> {
             }
             g = self.not_empty.wait(g).unwrap();
         }
-    }
-
-    /// Removes up to `max` queued items matching `pred`, preserving FIFO
-    /// order among both the taken and the remaining items. Non-blocking —
-    /// this is how a worker gathers batch mates for the request it just
-    /// popped.
-    pub fn drain_matching(&self, max: usize, pred: impl Fn(&T) -> bool) -> Vec<T> {
-        let mut g = self.inner.lock().unwrap();
-        let mut taken = Vec::new();
-        let mut i = 0;
-        while i < g.items.len() && taken.len() < max {
-            if pred(&g.items[i]) {
-                taken.push(g.items.remove(i).unwrap());
-            } else {
-                i += 1;
-            }
-        }
-        drop(g);
-        if !taken.is_empty() {
-            self.not_full.notify_all();
-        }
-        taken
     }
 
     /// Closes the queue: pending and future pushes fail, pops drain what
@@ -282,13 +278,16 @@ mod tests {
     }
 
     #[test]
-    fn pop_matching_skips_non_matching_and_respects_inflight() {
+    fn pop_batch_skips_non_matching_and_respects_inflight() {
         let q = BoundedQueue::new(8);
         q.push(1).unwrap();
         q.push(2).unwrap();
         q.push(3).unwrap();
         // Takes the first even item, leaving the rest in order.
-        assert_eq!(q.pop_matching(|v| v % 2 == 0), Some(2));
+        assert_eq!(
+            q.pop_batch(0, |v| v % 2 == 0, |_, _| true),
+            Some((2, vec![]))
+        );
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(3));
 
@@ -297,11 +296,11 @@ mod tests {
         q.inflight_inc();
         q.close();
         thread::scope(|s| {
-            let h = s.spawn(|| q.pop_matching(|v| v % 2 == 0));
+            let h = s.spawn(|| q.pop_batch(0, |v| v % 2 == 0, |_, _| true));
             thread::sleep(Duration::from_millis(20));
             q.push_all_internal([4]);
-            assert_eq!(h.join().unwrap(), Some(4));
-            let h = s.spawn(|| q.pop_matching(|v| v % 2 == 0));
+            assert_eq!(h.join().unwrap(), Some((4, vec![])));
+            let h = s.spawn(|| q.pop_batch(0, |v| v % 2 == 0, |_, _| true));
             thread::sleep(Duration::from_millis(20));
             // Retiring the last fan-out releases the blocked popper.
             q.inflight_dec();
@@ -325,16 +324,26 @@ mod tests {
     }
 
     #[test]
-    fn drain_matching_preserves_order() {
-        let q = BoundedQueue::new(8);
-        for v in [1, 2, 3, 4, 5, 6] {
+    fn pop_batch_takes_mates_in_fifo_order() {
+        let q = BoundedQueue::new(16);
+        for v in [1, 2, 3, 4, 5, 6, 8, 10, 7] {
             q.push(v).unwrap();
         }
-        let even = q.drain_matching(2, |v| v % 2 == 0);
-        assert_eq!(even, vec![2, 4]);
+        // The first even item, then up to 2 later items of its parity,
+        // oldest first; everything else keeps its order.
+        let same_parity = |a: &i32, b: &i32| a % 2 == b % 2;
+        assert_eq!(
+            q.pop_batch(2, |v| v % 2 == 0, same_parity),
+            Some((2, vec![4, 6]))
+        );
+        assert_eq!(
+            q.pop_batch(8, |v| v % 2 == 0, same_parity),
+            Some((8, vec![10]))
+        );
+        // Mates come only from behind the first match.
+        assert_eq!(q.pop_batch(8, |v| *v == 5, same_parity), Some((5, vec![7])));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(5));
-        assert_eq!(q.pop(), Some(6));
+        assert_eq!(q.len(), 0);
     }
 }

@@ -14,13 +14,19 @@
 //!   sector. Probe *order* is exactly the scalar order, so hit/miss and
 //!   eviction sequences — and therefore all traffic counters — are
 //!   unchanged; only the locking granularity differs.
-//! * **Generation-stamped invalidation** ([`L2Cache::invalidate`]): each
-//!   shard carries a generation counter and every way records the
-//!   generation it was filled in. Invalidation bumps the shard
-//!   generations (O(shards), independent of capacity) and ways from
-//!   older generations are treated as invalid. Victim selection still
-//!   prefers non-live ways (key 0), so behavior is identical to
-//!   physically clearing the arrays.
+//! * **16-byte ways, committed lazily**: each shard stores its ways as
+//!   two parallel `u64` arrays, `keys` (`sector + 1` with the top bit as
+//!   the dirty flag, 0 for an invalid way) and `stamps` (LRU order). A
+//!   hit scan of a 16-way set reads 128 bytes of keys. Both arrays are
+//!   allocated zeroed, so building a cache writes nothing and the OS
+//!   commits host pages only when a set is first touched; a 40 MB-L2
+//!   model costs host memory in proportion to the sets a workload uses.
+//!   [`L2Cache::invalidate`] swaps in fresh zeroed arrays.
+//!
+//! Ways are filled at the first invalid slot and only
+//! [`L2Cache::invalidate`] empties them, so the valid ways of a set are
+//! always a prefix of it: a probe stops at the first invalid way, which
+//! is then the victim, and otherwise evicts the smallest stamp.
 //!
 //! The model intentionally omits the L1/SMEM level: for streaming SpMV
 //! kernels L1 hit rates are negligible for the matrix (each element is
@@ -34,30 +40,32 @@ pub const SECTOR_BYTES: u64 = 32;
 
 const SHARDS: usize = 64;
 
-#[derive(Clone, Copy, Default)]
-struct Way {
-    /// Sector tag (full sector index; 0 is encoded as `valid == false`).
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU stamp; larger = more recently used.
-    stamp: u64,
-    /// Shard generation this way was filled in; stale generations mean
-    /// the way was invalidated wholesale.
-    gen: u64,
-}
+/// Dirty flag, the top bit of a way's key.
+const DIRTY: u64 = 1 << 63;
 
 struct Shard {
-    /// `sets_per_shard * ways` entries, set-major.
-    ways: Vec<Way>,
+    /// `sets_per_shard * ways` entries, set-major: `sector + 1`, ORed
+    /// with [`DIRTY`] for a dirty way; 0 is an invalid way.
+    keys: Vec<u64>,
+    /// LRU stamps, parallel to `keys`; larger = more recently used.
+    stamps: Vec<u64>,
     stamp: u64,
-    /// Current generation; bumped by [`L2Cache::invalidate`].
-    gen: u64,
-    /// Number of live-generation dirty ways — lets the end-of-kernel
-    /// flush skip clean shards entirely and stop scanning a dirty shard
-    /// as soon as every dirty way has been visited, making the flush
-    /// O(dirty data) instead of O(cache capacity).
+    /// Number of dirty ways — lets the end-of-kernel flush skip clean
+    /// shards entirely and stop scanning a dirty shard as soon as every
+    /// dirty way has been visited, making the flush O(dirty data)
+    /// instead of O(cache capacity).
     dirty: u64,
+}
+
+impl Shard {
+    fn empty(len: usize) -> Self {
+        Shard {
+            keys: vec![0; len],
+            stamps: vec![0; len],
+            stamp: 0,
+            dirty: 0,
+        }
+    }
 }
 
 /// Result of one sector access.
@@ -92,14 +100,7 @@ impl L2Cache {
         let sets_per_shard = (nsets / SHARDS as u64).max(1);
         let shard_count = nsets.div_ceil(sets_per_shard) as usize;
         let shards = (0..shard_count)
-            .map(|_| {
-                Mutex::new(Shard {
-                    ways: vec![Way::default(); (sets_per_shard as usize) * ways],
-                    stamp: 0,
-                    gen: 0,
-                    dirty: 0,
-                })
-            })
+            .map(|_| Mutex::new(Shard::empty(sets_per_shard as usize * ways)))
             .collect();
         L2Cache {
             shards,
@@ -139,16 +140,23 @@ impl L2Cache {
     ) -> AccessResult {
         shard.stamp += 1;
         let stamp = shard.stamp;
-        let gen = shard.gen;
+        let key = sector + 1;
         let base = local_set * ways;
-        let set = &mut shard.ways[base..base + ways];
+        let keys = &mut shard.keys[base..base + ways];
+        let stamps = &mut shard.stamps[base..base + ways];
 
-        // Hit? (ways from older generations are invalid)
-        for w in set.iter_mut() {
-            if w.valid && w.gen == gen && w.tag == sector {
-                w.stamp = stamp;
-                if write && !w.dirty {
-                    w.dirty = true;
+        // Hit? Valid ways are a prefix of the set, so the first invalid
+        // way ends the scan and is the victim.
+        let mut victim = None;
+        for (i, k) in keys.iter_mut().enumerate() {
+            if *k == 0 {
+                victim = Some(i);
+                break;
+            }
+            if *k & !DIRTY == key {
+                stamps[i] = stamp;
+                if write && *k & DIRTY == 0 {
+                    *k |= DIRTY;
                     shard.dirty += 1;
                 }
                 return AccessResult {
@@ -157,25 +165,13 @@ impl L2Cache {
                 };
             }
         }
-        // Miss: evict LRU (prefer an invalid or stale way).
-        let victim = set
-            .iter_mut()
-            .min_by_key(|w| {
-                if w.valid && w.gen == gen {
-                    w.stamp + 1
-                } else {
-                    0
-                }
-            })
-            .expect("ways > 0");
-        let writeback = victim.valid && victim.gen == gen && victim.dirty;
-        *victim = Way {
-            tag: sector,
-            valid: true,
-            dirty: write,
-            stamp,
-            gen,
-        };
+        // Miss in a full set: evict the LRU way (smallest stamp).
+        let victim = victim.unwrap_or_else(|| {
+            (1..ways).fold(0, |lru, i| if stamps[i] < stamps[lru] { i } else { lru })
+        });
+        let writeback = keys[victim] & DIRTY != 0;
+        keys[victim] = if write { key | DIRTY } else { key };
+        stamps[victim] = stamp;
         shard.dirty += write as u64;
         shard.dirty -= writeback as u64;
         AccessResult {
@@ -233,10 +229,9 @@ impl L2Cache {
             if remaining == 0 {
                 continue; // O(1) skip: nothing dirty in this shard
             }
-            let gen = s.gen;
-            for w in s.ways.iter_mut() {
-                if w.valid && w.gen == gen && w.dirty {
-                    w.dirty = false;
+            for k in s.keys.iter_mut() {
+                if *k & DIRTY != 0 {
+                    *k &= !DIRTY;
                     remaining -= 1;
                     if remaining == 0 {
                         break; // all dirty ways visited; stop scanning
@@ -251,15 +246,13 @@ impl L2Cache {
     }
 
     /// Invalidates everything (cold-cache reset between experiments) by
-    /// bumping each shard's generation: O(shards), independent of cache
-    /// capacity. Stale ways lose on every probe exactly like cleared
-    /// ones, so counters are unaffected by the representation.
+    /// swapping in fresh zeroed arrays. Dirty data is discarded, never
+    /// written back.
     pub fn invalidate(&self) {
         for shard in &self.shards {
             let mut s = shard.lock();
-            s.gen += 1;
-            // Stale dirty data is discarded, never written back.
-            s.dirty = 0;
+            let len = s.keys.len();
+            *s = Shard::empty(len);
         }
     }
 }
@@ -346,7 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_invalidate_generations_stay_distinct() {
+    fn repeated_invalidate_always_starts_cold() {
         let c = L2Cache::new(1 << 12, 4);
         for round in 0..5 {
             assert!(!c.access(0x40, true).hit, "round {round}: must be cold");
@@ -400,6 +393,127 @@ mod tests {
         }
         // Second pass misses everything too: LRU streaming eviction.
         assert_eq!(misses, 2 * n / 32);
+    }
+
+    /// The naive model the sharded cache must match: one `Vec` per set
+    /// in LRU order (front = least recent) of `(sector, dirty)` pairs,
+    /// write-allocate, write-back on dirty eviction.
+    struct Reference {
+        sets: Vec<Vec<(u64, bool)>>,
+        ways: usize,
+    }
+
+    impl Reference {
+        fn new(nsets: u64, ways: usize) -> Self {
+            Reference {
+                sets: vec![Vec::new(); nsets as usize],
+                ways,
+            }
+        }
+
+        fn access(&mut self, sector: u64, write: bool) -> AccessResult {
+            let nsets = self.sets.len() as u64;
+            let set = &mut self.sets[(sector % nsets) as usize];
+            if let Some(i) = set.iter().position(|&(s, _)| s == sector) {
+                let (_, dirty) = set.remove(i);
+                set.push((sector, dirty || write));
+                return AccessResult {
+                    hit: true,
+                    writeback: false,
+                };
+            }
+            let writeback = set.len() == self.ways && set.remove(0).1;
+            set.push((sector, write));
+            AccessResult {
+                hit: false,
+                writeback,
+            }
+        }
+
+        fn flush_dirty(&mut self) -> u64 {
+            let mut count = 0;
+            for (_, dirty) in self.sets.iter_mut().flatten() {
+                count += *dirty as u64;
+                *dirty = false;
+            }
+            count
+        }
+
+        fn invalidate(&mut self) {
+            self.sets.iter_mut().for_each(Vec::clear);
+        }
+    }
+
+    #[test]
+    fn matches_naive_lru_reference_on_random_streams() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // (capacity, ways): fewer sets than shards, exactly one set per
+        // shard, 2-way sets, and several sets per shard at 4 and 16 ways.
+        let geometries = [
+            (256, 2),
+            (4096, 2),
+            (1 << 12, 4),
+            (1 << 16, 16),
+            (1 << 16, 4),
+            (3000, 3),
+        ];
+        for (g, &(capacity, ways)) in geometries.iter().enumerate() {
+            let cache = L2Cache::new(capacity, ways);
+            let nsets = cache.capacity_bytes() / SECTOR_BYTES / ways as u64;
+            let mut reference = Reference::new(nsets, ways);
+            let mut rng = StdRng::seed_from_u64(0xC0FFEE + g as u64);
+            // Sectors span 3x the capacity, so sets fill and evict.
+            let span = 3 * nsets * ways as u64;
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut flushes = 0;
+            for step in 0..20_000 {
+                match rng.gen_range(0..1000u32) {
+                    0..=1 => {
+                        cache.invalidate();
+                        reference.invalidate();
+                    }
+                    2..=9 => {
+                        let (a, b) = (cache.flush_dirty(), reference.flush_dirty());
+                        assert_eq!(a, b, "geometry {g}: flush at step {step}");
+                        flushes += 1;
+                    }
+                    op => {
+                        // A short run of sectors, like one warp access;
+                        // half the runs are consecutive sectors.
+                        let write = rng.gen_bool(0.3);
+                        let start = rng.gen_range(0..span);
+                        let run: Vec<u64> = (0..rng.gen_range(1..6u64))
+                            .map(|i| {
+                                if op % 2 == 0 {
+                                    (start + i) % span
+                                } else {
+                                    rng.gen_range(0..span)
+                                }
+                            })
+                            .collect();
+                        if op % 3 == 0 {
+                            cache.access_batch(run.iter().copied(), write, |r| got.push(r));
+                        } else {
+                            for &s in &run {
+                                got.push(cache.access(s * SECTOR_BYTES, write));
+                            }
+                        }
+                        want.extend(run.iter().map(|&s| reference.access(s, write)));
+                    }
+                }
+            }
+            assert_eq!(got, want, "geometry {g}: access results differ");
+            assert_eq!(cache.flush_dirty(), reference.flush_dirty());
+            assert!(flushes > 0);
+            let hits = got.iter().filter(|r| r.hit).count();
+            let writebacks = got.iter().filter(|r| r.writeback).count();
+            assert!(
+                hits > 0 && hits < got.len(),
+                "geometry {g}: degenerate stream"
+            );
+            assert!(writebacks > 0, "geometry {g}: no dirty evictions exercised");
+        }
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //! fixed order, which is what makes the vector kernel bitwise reproducible.
 //!
 //! Blocks are distributed dynamically over host worker threads (like SMs
-//! picking up blocks); warps within a block run in a fixed order. All
+//! picking up blocks); warps within a block run in a fixed order. The
+//! calling thread is worker 0 and a launch spawns only the other
+//! `workers - 1` scoped threads, so a one-worker launch
+//! ([`ExecMode::Sequential`], or `RTDOSE_SIM_THREADS=1`) runs entirely on
+//! the caller and starts no thread. All
 //! non-atomic result stores go to disjoint indices (the kernels' own
 //! invariant, same as on real hardware), so functional results are
 //! deterministic regardless of scheduling; traffic counters can vary
@@ -229,43 +233,44 @@ impl Gpu {
         };
 
         let next_block = AtomicU64::new(0);
+        let work = || {
+            let counters = self.mem.local_counters();
+            loop {
+                let b = next_block.fetch_add(1, Ordering::Relaxed);
+                if b >= grid.blocks {
+                    break;
+                }
+                for w in 0..grid.warps_per_block() {
+                    let mut ctx = WarpCtx {
+                        warp_id: (b * grid.warps_per_block() as u64 + w as u64) as usize,
+                        block_id: b,
+                        warp_in_block: w,
+                        tile_width,
+                        grid,
+                        mem: &self.mem,
+                        counters: &counters,
+                    };
+                    counters.add(&counters.warps, 1);
+                    kernel(&mut ctx);
+                }
+                // Publish per-region tallies once per block so
+                // traffic_report() converges promptly without
+                // per-access shared-memory traffic.
+                self.mem.flush_region_counts(&counters);
+            }
+            counters
+        };
+        // The calling thread is worker 0; only the other workers are
+        // spawned, so a one-worker launch starts no thread at all.
         let locals: Vec<LocalCounters> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let counters = self.mem.local_counters();
-                        loop {
-                            let b = next_block.fetch_add(1, Ordering::Relaxed);
-                            if b >= grid.blocks {
-                                break;
-                            }
-                            for w in 0..grid.warps_per_block() {
-                                let mut ctx = WarpCtx {
-                                    warp_id: (b * grid.warps_per_block() as u64 + w as u64)
-                                        as usize,
-                                    block_id: b,
-                                    warp_in_block: w,
-                                    tile_width,
-                                    grid,
-                                    mem: &self.mem,
-                                    counters: &counters,
-                                };
-                                counters.add(&counters.warps, 1);
-                                kernel(&mut ctx);
-                            }
-                            // Publish per-region tallies once per block so
-                            // traffic_report() converges promptly without
-                            // per-access shared-memory traffic.
-                            self.mem.flush_region_counts(&counters);
-                        }
-                        counters
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
+            let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+            let mut locals = vec![work()];
+            locals.extend(
+                helpers
+                    .into_iter()
+                    .map(|h| h.join().expect("worker panicked")),
+            );
+            locals
         });
 
         // Account outstanding dirty data as written back at kernel end.
@@ -611,6 +616,23 @@ mod tests {
         for i in 0..512 {
             assert_eq!(out.get(i), i as f64);
         }
+    }
+
+    #[test]
+    fn sequential_launch_runs_on_the_calling_thread() {
+        let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
+        let seen = std::sync::Mutex::new(Vec::new());
+        let stats = gpu.launch(Grid::new(4, 64), |_| {
+            seen.lock().unwrap().push(std::thread::current().id());
+        });
+        assert_eq!(stats.warps, 8);
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 8);
+        let caller = std::thread::current().id();
+        assert!(
+            seen.iter().all(|&id| id == caller),
+            "a worker thread was spawned"
+        );
     }
 
     #[test]

@@ -337,7 +337,7 @@ impl MemSystem {
         c.add(&c.dram_writeback_sectors, n);
     }
 
-    /// Cold-cache reset — O(shard count) via cache generation stamps.
+    /// Cold-cache reset: every L2 shard gets fresh zeroed way arrays.
     pub fn invalidate_cache(&self) {
         self.l2.invalidate();
     }
