@@ -284,14 +284,12 @@ impl<'m> DoseCalculatorBuilder<'m> {
             });
             (GpuRowPlan::upload(&gpu, plan), widths)
         });
-        let y = gpu.alloc_out::<f64>(m.nrows());
         Ok(DoseCalculator {
             gpu,
             matrix: gm,
             transpose,
             partition,
             grad_partition,
-            y,
             profile: match self.profile {
                 PrecisionProfile::HalfDouble => profile_half_double(),
                 PrecisionProfile::Single => profile_single(),
@@ -327,7 +325,6 @@ pub struct DoseCalculator {
     /// [`gradient_csr_spmv_bucketed`](crate::bucketed::gradient_csr_spmv_bucketed);
     /// otherwise they keep the whole-matrix kernel at `grad_tile_width`.
     grad_partition: Option<(GpuRowPlan, BucketWidths)>,
-    y: DeviceOutBuffer<f64>,
     profile: rt_gpusim::KernelProfile,
     threads_per_block: u32,
     /// Extrapolation factor applied to traffic/flop counters before
@@ -482,14 +479,17 @@ impl DoseCalculator {
                 actual: weights.len(),
             });
         }
+        // Per-call buffers: concurrent calls never share an output, and
+        // dropping them recycles their device ranges.
         let dx: DeviceBuffer<f64> = self.gpu.upload(weights);
+        let y = self.gpu.alloc_out::<f64>(self.nrows());
         let (stats, group) = match &self.partition {
             Some((gplan, widths)) => {
                 let g = vector_csr_spmv_bucketed(
                     &self.gpu,
                     &self.matrix,
                     &dx,
-                    &self.y,
+                    &y,
                     self.threads_per_block,
                     gplan,
                     *widths,
@@ -498,10 +498,10 @@ impl DoseCalculator {
                     bucketed_group_report(self.gpu.spec(), &self.profile, gplan.plan(), &g);
                 (g.merged, Some(report))
             }
-            None => (self.spmv(&self.matrix, &dx, &self.y, self.tile_width), None),
+            None => (self.spmv(&self.matrix, &dx, &y, self.tile_width), None),
         };
         Ok(DoseResult {
-            dose: self.y.to_vec(),
+            dose: y.to_vec(),
             report: self.report_for(&stats, self.tile_width),
             group,
         })
@@ -724,6 +724,81 @@ mod tests {
             a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn concurrent_calls_on_one_calculator_return_their_own_doses() {
+        let m = random_matrix(57, 3000, 48);
+        let calc = DoseCalculator::builder(&m).build().unwrap();
+        let weights: Vec<Vec<f64>> = (0..2)
+            .map(|t| (0..48).map(|i| ((i + 7 * t) as f64 * 0.17).cos()).collect())
+            .collect();
+        let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let want: Vec<Vec<u64>> = weights
+            .iter()
+            .map(|w| bits(&calc.compute_dose(w).unwrap().dose))
+            .collect();
+        // Both threads start every call together, so the calls overlap.
+        // Mismatches are counted, not asserted, so neither thread leaves
+        // the other waiting at the barrier.
+        let start = std::sync::Barrier::new(weights.len());
+        let wrong: Vec<usize> = std::thread::scope(|s| {
+            let threads: Vec<_> = weights
+                .iter()
+                .zip(&want)
+                .map(|(w, want)| {
+                    let (calc, start) = (&calc, &start);
+                    s.spawn(move || {
+                        (0..100)
+                            .filter(|_| {
+                                start.wait();
+                                bits(&calc.compute_dose(w).unwrap().dose) != *want
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(wrong, [0, 0], "calls returned another thread's dose");
+    }
+
+    #[test]
+    fn repeated_partitioned_liver_calls_keep_their_counters() {
+        use rt_dose::cases::{liver_case, ScaleConfig};
+        let m = liver_case(ScaleConfig::tiny()).remove(0).matrix;
+        let calc = DoseCalculator::builder(&m)
+            .partitioned(BucketWidths::natural())
+            .with_transpose()
+            .grad_partitioned(BucketWidths::natural())
+            .build()
+            .unwrap();
+        let w: Vec<f64> = (0..m.ncols())
+            .map(|i| (i as f64 * 0.29).sin().abs())
+            .collect();
+        let r: Vec<f64> = (0..m.nrows())
+            .map(|i| ((i % 11) as f64 * 0.4).cos())
+            .collect();
+        let counters = |s: &KernelStats| {
+            [
+                s.l2_read_hits,
+                s.l2_read_misses,
+                s.l2_write_sectors,
+                s.dram_read_bytes,
+                s.dram_write_bytes,
+            ]
+        };
+        // Recorded with the never-freeing bump allocator: recycling
+        // per-call buffers must not move a single counter.
+        const FIRST: [u64; 5] = [22574, 7561, 2001, 241952, 47744];
+        const STEADY: [u64; 5] = [30060, 75, 2001, 2400, 47744];
+        let grad = calc.compute_gradient_term(&r).unwrap();
+        for call in 0..200 {
+            let dose = calc.compute_dose(&w).unwrap();
+            let want = if call == 0 { FIRST } else { STEADY };
+            assert_eq!(counters(dose.stats()), want, "dose call {call}");
+            assert_eq!(calc.compute_gradient_term(&r).unwrap(), grad);
+        }
     }
 
     #[test]

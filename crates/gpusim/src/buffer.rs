@@ -7,7 +7,15 @@
 //! result order genuinely depends on thread interleaving, reproducing the
 //! paper's bitwise-non-reproducibility observation with real concurrency
 //! rather than injected randomness.
+//!
+//! A buffer made by [`Gpu::upload`](crate::Gpu::upload) or
+//! [`Gpu::alloc_out`](crate::Gpu::alloc_out) owns its unnamed address
+//! range ([`Allocation`]): dropping the buffer returns the range to the
+//! device's free list, where the next allocation of the same size picks
+//! it up (cold in the L2 model). Named buffers keep their range for the
+//! device's lifetime.
 
+use crate::mem::Allocation;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Read-only data resident in simulated global memory.
@@ -15,11 +23,27 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 pub struct DeviceBuffer<T> {
     base: u64,
     data: Vec<T>,
+    /// The unnamed range this buffer frees on drop; `None` for named
+    /// buffers.
+    _range: Option<Allocation>,
 }
 
 impl<T: Copy> DeviceBuffer<T> {
     pub(crate) fn new(base: u64, data: Vec<T>) -> Self {
-        DeviceBuffer { base, data }
+        DeviceBuffer {
+            base,
+            data,
+            _range: None,
+        }
+    }
+
+    /// A buffer at `range`, which it returns to the free list on drop.
+    pub(crate) fn in_range(range: Allocation, data: Vec<T>) -> Self {
+        DeviceBuffer {
+            base: range.base(),
+            data,
+            _range: Some(range),
+        }
     }
 
     /// Simulated global-memory base address.
@@ -127,6 +151,9 @@ impl OutScalar for f32 {
 pub struct DeviceOutBuffer<T: OutScalar> {
     base: u64,
     cells: Vec<T::Atomic>,
+    /// The unnamed range this buffer frees on drop; `None` for named
+    /// buffers.
+    _range: Option<Allocation>,
 }
 
 impl<T: OutScalar + Default> DeviceOutBuffer<T> {
@@ -134,7 +161,16 @@ impl<T: OutScalar + Default> DeviceOutBuffer<T> {
         DeviceOutBuffer {
             base,
             cells: (0..len).map(|_| T::new_cell(T::default())).collect(),
+            _range: None,
         }
+    }
+
+    /// A zeroed buffer at `range`, which it returns to the free list on
+    /// drop.
+    pub(crate) fn zeroed_in(range: Allocation, len: usize) -> Self {
+        let mut buf = Self::new_zeroed(range.base(), len);
+        buf._range = Some(range);
+        buf
     }
 }
 

@@ -14,19 +14,23 @@
 //!   sector. Probe *order* is exactly the scalar order, so hit/miss and
 //!   eviction sequences — and therefore all traffic counters — are
 //!   unchanged; only the locking granularity differs.
-//! * **16-byte ways, committed lazily**: each shard stores its ways as
-//!   two parallel `u64` arrays, `keys` (`sector + 1` with the top bit as
-//!   the dirty flag, 0 for an invalid way) and `stamps` (LRU order). A
-//!   hit scan of a 16-way set reads 128 bytes of keys. Both arrays are
-//!   allocated zeroed, so building a cache writes nothing and the OS
-//!   commits host pages only when a set is first touched; a 40 MB-L2
-//!   model costs host memory in proportion to the sets a workload uses.
-//!   [`L2Cache::invalidate`] swaps in fresh zeroed arrays.
+//! * **16-byte ways, allocated per shard on first probe**: each shard
+//!   stores its ways as two parallel `u64` arrays, `keys` (`sector + 1`
+//!   with the top bit as the dirty flag, 0 for an invalid way) and
+//!   `stamps` (LRU order). A hit scan of a 16-way set reads 128 bytes of
+//!   keys. [`L2Cache::new`] allocates no way array at all: a shard's
+//!   arrays are created the first time one of its sets is probed, and
+//!   [`L2Cache::invalidate`] drops them again. A 40 MB-L2 model therefore
+//!   costs host memory only for the shards a workload touches, whatever
+//!   the host allocator does with large zeroed allocations.
 //!
-//! Ways are filled at the first invalid slot and only
-//! [`L2Cache::invalidate`] empties them, so the valid ways of a set are
-//! always a prefix of it: a probe stops at the first invalid way, which
-//! is then the victim, and otherwise evicts the smallest stamp.
+//! Ways are filled at the first invalid slot, and
+//! [`L2Cache::invalidate_sectors`] (the freeing allocator's cold-on-reuse
+//! path) moves the set's last valid way into the hole it leaves, so the
+//! valid ways of a set are always a prefix of it: a probe stops at the
+//! first invalid way, which is then the victim, and otherwise evicts the
+//! smallest stamp. Stamps are unique within a shard, so moving a way
+//! keeps the LRU order.
 //!
 //! The model intentionally omits the L1/SMEM level: for streaming SpMV
 //! kernels L1 hit rates are negligible for the matrix (each element is
@@ -43,9 +47,11 @@ const SHARDS: usize = 64;
 /// Dirty flag, the top bit of a way's key.
 const DIRTY: u64 = 1 << 63;
 
+#[derive(Default)]
 struct Shard {
     /// `sets_per_shard * ways` entries, set-major: `sector + 1`, ORed
-    /// with [`DIRTY`] for a dirty way; 0 is an invalid way.
+    /// with [`DIRTY`] for a dirty way; 0 is an invalid way. Empty until
+    /// the shard is first probed.
     keys: Vec<u64>,
     /// LRU stamps, parallel to `keys`; larger = more recently used.
     stamps: Vec<u64>,
@@ -58,12 +64,12 @@ struct Shard {
 }
 
 impl Shard {
-    fn empty(len: usize) -> Self {
-        Shard {
-            keys: vec![0; len],
-            stamps: vec![0; len],
-            stamp: 0,
-            dirty: 0,
+    /// Allocates the zeroed way arrays (all ways invalid) on first probe.
+    #[inline]
+    fn ensure_ways(&mut self, len: usize) {
+        if self.keys.is_empty() {
+            self.keys = vec![0; len];
+            self.stamps = vec![0; len];
         }
     }
 }
@@ -79,6 +85,8 @@ pub struct AccessResult {
 /// The cache model. Cheap to probe, safe to share across threads.
 pub struct L2Cache {
     shards: Vec<Mutex<Shard>>,
+    /// Ways per shard (`sets_per_shard * ways`).
+    shard_len: usize,
     nsets: u64,
     ways: usize,
     /// `nsets - 1`; set count is a power of two, so set selection is a
@@ -92,18 +100,17 @@ pub struct L2Cache {
 }
 
 impl L2Cache {
-    /// Builds a cache of `capacity_bytes` with `ways`-way sets.
+    /// Builds a cache of `capacity_bytes` with `ways`-way sets. No way
+    /// array is allocated until its shard is first probed.
     pub fn new(capacity_bytes: usize, ways: usize) -> Self {
         assert!(ways > 0);
         let nsets =
             ((capacity_bytes as u64 / SECTOR_BYTES / ways as u64).max(1)).next_power_of_two();
         let sets_per_shard = (nsets / SHARDS as u64).max(1);
         let shard_count = nsets.div_ceil(sets_per_shard) as usize;
-        let shards = (0..shard_count)
-            .map(|_| Mutex::new(Shard::empty(sets_per_shard as usize * ways)))
-            .collect();
         L2Cache {
-            shards,
+            shards: (0..shard_count).map(|_| Mutex::default()).collect(),
+            shard_len: sets_per_shard as usize * ways,
             nsets,
             ways,
             set_mask: nsets - 1,
@@ -186,6 +193,7 @@ impl L2Cache {
         let sector = addr / SECTOR_BYTES;
         let (shard_idx, local_set) = self.shard_of(sector);
         let mut shard = self.shards[shard_idx].lock();
+        shard.ensure_ways(self.shard_len);
         Self::probe(&mut shard, local_set, self.ways, sector, write)
     }
 
@@ -199,13 +207,30 @@ impl L2Cache {
         I: IntoIterator<Item = u64>,
         F: FnMut(AccessResult),
     {
+        self.for_each_locked(sectors, true, |shard, local_set, sector| {
+            sink(Self::probe(shard, local_set, self.ways, sector, write))
+        });
+    }
+
+    /// Calls `f` with each sector's locked shard and local set, in order.
+    /// Consecutive sectors in one shard share a lock acquisition; with
+    /// `allocate`, each run first makes sure its shard has way arrays.
+    #[inline]
+    fn for_each_locked<I, F>(&self, sectors: I, allocate: bool, mut f: F)
+    where
+        I: IntoIterator<Item = u64>,
+        F: FnMut(&mut Shard, usize, u64),
+    {
         let mut it = sectors.into_iter();
         let Some(mut sector) = it.next() else { return };
         'runs: loop {
             let (shard_idx, mut local_set) = self.shard_of(sector);
             let mut shard = self.shards[shard_idx].lock();
+            if allocate {
+                shard.ensure_ways(self.shard_len);
+            }
             loop {
-                sink(Self::probe(&mut shard, local_set, self.ways, sector, write));
+                f(&mut shard, local_set, sector);
                 sector = match it.next() {
                     Some(s) => s,
                     None => break 'runs,
@@ -246,13 +271,75 @@ impl L2Cache {
     }
 
     /// Invalidates everything (cold-cache reset between experiments) by
-    /// swapping in fresh zeroed arrays. Dirty data is discarded, never
+    /// dropping every shard's way arrays; the next probe of a shard
+    /// allocates fresh zeroed ones. Dirty data is discarded, never
     /// written back.
     pub fn invalidate(&self) {
         for shard in &self.shards {
-            let mut s = shard.lock();
-            let len = s.keys.len();
-            *s = Shard::empty(len);
+            *shard.lock() = Shard::default();
+        }
+    }
+
+    /// Removes each of `sectors` from the cache if resident, discarding
+    /// dirty data without a write-back, as for a freed device range whose
+    /// addresses are handed out again. The set's last valid way moves
+    /// into the hole, so valid ways stay a prefix of the set and the LRU
+    /// order (carried by the stamps) is unchanged. Runs of sectors in one
+    /// shard are handled under one lock; shards never probed are skipped.
+    pub fn invalidate_sectors<I>(&self, sectors: I)
+    where
+        I: IntoIterator<Item = u64>,
+    {
+        self.for_each_locked(sectors, false, |shard, local_set, sector| {
+            if !shard.keys.is_empty() {
+                Self::remove(shard, local_set, self.ways, sector);
+            }
+        });
+    }
+
+    /// Removes `sector` from one set of an allocated shard, filling the
+    /// hole with the set's last valid way.
+    #[inline]
+    fn remove(shard: &mut Shard, local_set: usize, ways: usize, sector: u64) {
+        let base = local_set * ways;
+        let keys = &mut shard.keys[base..base + ways];
+        let valid = keys.iter().take_while(|&&k| k != 0).count();
+        let Some(hole) = keys[..valid].iter().position(|&k| k & !DIRTY == sector + 1) else {
+            return;
+        };
+        let last = valid - 1;
+        shard.dirty -= (keys[hole] & DIRTY != 0) as u64;
+        keys[hole] = keys[last];
+        keys[last] = 0;
+        let stamps = &mut shard.stamps[base..base + ways];
+        stamps[hole] = stamps[last];
+        stamps[last] = 0;
+    }
+
+    /// Number of shards whose way arrays are allocated.
+    #[cfg(test)]
+    pub(crate) fn allocated_shards(&self) -> usize {
+        self.shards
+            .iter()
+            .filter(|s| !s.lock().keys.is_empty())
+            .count()
+    }
+
+    /// Panics unless every set's valid ways form a prefix of it and every
+    /// shard's dirty count matches its dirty ways.
+    #[cfg(test)]
+    fn check_invariants(&self) {
+        for (i, shard) in self.shards.iter().enumerate() {
+            let s = shard.lock();
+            for set in s.keys.chunks(self.ways) {
+                let valid = set.iter().take_while(|&&k| k != 0).count();
+                assert!(
+                    set[valid..].iter().all(|&k| k == 0),
+                    "shard {i}: valid ways are not a prefix of {set:?}"
+                );
+            }
+            let dirty = s.keys.iter().filter(|&&k| k & DIRTY != 0).count() as u64;
+            assert_eq!(dirty, s.dirty, "shard {i}: dirty count out of sync");
         }
     }
 }
@@ -442,6 +529,12 @@ mod tests {
         fn invalidate(&mut self) {
             self.sets.iter_mut().for_each(Vec::clear);
         }
+
+        /// Drops `sector` if resident; the rest keep their LRU order.
+        fn invalidate_sector(&mut self, sector: u64) {
+            let nsets = self.sets.len() as u64;
+            self.sets[(sector % nsets) as usize].retain(|&(s, _)| s != sector);
+        }
     }
 
     #[test]
@@ -466,7 +559,7 @@ mod tests {
             // Sectors span 3x the capacity, so sets fill and evict.
             let span = 3 * nsets * ways as u64;
             let (mut got, mut want) = (Vec::new(), Vec::new());
-            let mut flushes = 0;
+            let (mut flushes, mut invalidations) = (0, 0);
             for step in 0..20_000 {
                 match rng.gen_range(0..1000u32) {
                     0..=1 => {
@@ -479,9 +572,8 @@ mod tests {
                         flushes += 1;
                     }
                     op => {
-                        // A short run of sectors, like one warp access;
-                        // half the runs are consecutive sectors.
-                        let write = rng.gen_bool(0.3);
+                        // A short run of sectors, like one warp access or
+                        // a freed range; half the runs are consecutive.
                         let start = rng.gen_range(0..span);
                         let run: Vec<u64> = (0..rng.gen_range(1..6u64))
                             .map(|i| {
@@ -492,6 +584,13 @@ mod tests {
                                 }
                             })
                             .collect();
+                        if op < 60 {
+                            cache.invalidate_sectors(run.iter().copied());
+                            run.iter().for_each(|&s| reference.invalidate_sector(s));
+                            invalidations += 1;
+                            continue;
+                        }
+                        let write = rng.gen_bool(0.3);
                         if op % 3 == 0 {
                             cache.access_batch(run.iter().copied(), write, |r| got.push(r));
                         } else {
@@ -502,10 +601,14 @@ mod tests {
                         want.extend(run.iter().map(|&s| reference.access(s, write)));
                     }
                 }
+                if step % 500 == 0 {
+                    cache.check_invariants();
+                }
             }
+            cache.check_invariants();
             assert_eq!(got, want, "geometry {g}: access results differ");
             assert_eq!(cache.flush_dirty(), reference.flush_dirty());
-            assert!(flushes > 0);
+            assert!(flushes > 0 && invalidations > 0);
             let hits = got.iter().filter(|r| r.hit).count();
             let writebacks = got.iter().filter(|r| r.writeback).count();
             assert!(
@@ -514,6 +617,65 @@ mod tests {
             );
             assert!(writebacks > 0, "geometry {g}: no dirty evictions exercised");
         }
+    }
+
+    #[test]
+    fn invalidated_sector_misses_and_keeps_its_set_in_lru_order() {
+        // One 4-way set: fill it, drop the second-oldest sector, and the
+        // hole takes the next fill without evicting anyone.
+        let c = L2Cache::new(4 * 32, 4);
+        for s in 0..4 {
+            c.access(s * 32, s == 1);
+        }
+        c.invalidate_sectors([1]);
+        c.check_invariants();
+        assert_eq!(c.flush_dirty(), 0, "the dirty sector was discarded");
+        assert!(!c.access(32, false).hit);
+        for s in [0, 2, 3] {
+            assert!(c.access(s * 32, false).hit, "sector {s} evicted");
+        }
+        // Sector 1 is now least recent: the next miss evicts it.
+        assert!(!c.access(4 * 32, false).hit);
+        assert!(!c.access(32, false).hit);
+        // Invalidating an absent sector is a no-op.
+        c.invalidate_sectors([99]);
+        c.check_invariants();
+    }
+
+    #[test]
+    fn new_cache_allocates_no_way_arrays() {
+        let c = L2Cache::new(40 << 20, 16); // the A100's L2
+        assert_eq!(c.allocated_shards(), 0);
+        // Flushing and invalidating untouched shards allocate nothing.
+        assert_eq!(c.flush_dirty(), 0);
+        c.invalidate_sectors(0..4096);
+        assert_eq!(c.allocated_shards(), 0);
+    }
+
+    #[test]
+    fn probing_a_sector_allocates_exactly_its_shard() {
+        let c = L2Cache::new(40 << 20, 16);
+        c.access(0x1000, false);
+        assert_eq!(c.allocated_shards(), 1);
+        let (shard, _) = c.shard_of(0x1000 / SECTOR_BYTES);
+        assert!(!c.shards[shard].lock().keys.is_empty());
+        // Another sector of the same shard allocates nothing new; one in
+        // the next shard allocates that shard only.
+        c.access_batch([0x1000 / SECTOR_BYTES + 1], true, |_| {});
+        assert_eq!(c.allocated_shards(), 1);
+        let next_shard = c.nsets / c.shards.len() as u64;
+        c.access_batch([next_shard], false, |_| {});
+        assert_eq!(c.allocated_shards(), 2);
+    }
+
+    #[test]
+    fn invalidate_frees_the_way_arrays() {
+        let c = L2Cache::new(40 << 20, 16);
+        c.access_batch((0..c.nsets).step_by(1 << 10), true, |_| {});
+        assert_eq!(c.allocated_shards(), c.shards.len());
+        c.invalidate();
+        assert_eq!(c.allocated_shards(), 0);
+        assert!(!c.access(0, false).hit);
     }
 
     #[test]

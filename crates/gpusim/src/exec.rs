@@ -156,26 +156,29 @@ impl Gpu {
     }
 
     /// Copies host data into a fresh device buffer ("cudaMemcpy H2D").
+    /// Dropping the buffer frees its range for reuse.
     pub fn upload<T: Copy>(&self, data: &[T]) -> DeviceBuffer<T> {
-        let base = self.mem.alloc(std::mem::size_of_val(data));
-        DeviceBuffer::new(base, data.to_vec())
+        let range = self.mem.alloc(std::mem::size_of_val(data));
+        DeviceBuffer::in_range(range, data.to_vec())
     }
 
     /// Like [`Gpu::upload`], registering the buffer for per-buffer
-    /// traffic attribution (see [`Gpu::traffic_report`]).
+    /// traffic attribution (see [`Gpu::traffic_report`]). A named range
+    /// is never freed.
     pub fn upload_named<T: Copy>(&self, name: &str, data: &[T]) -> DeviceBuffer<T> {
         let base = self.mem.alloc_named(std::mem::size_of_val(data), name);
         DeviceBuffer::new(base, data.to_vec())
     }
 
-    /// Allocates a zero-initialized output buffer.
+    /// Allocates a zero-initialized output buffer. Dropping it frees its
+    /// range for reuse.
     pub fn alloc_out<T: OutScalar + Default>(&self, len: usize) -> DeviceOutBuffer<T> {
-        let base = self.mem.alloc(len * core::mem::size_of::<T>());
-        DeviceOutBuffer::new_zeroed(base, len)
+        let range = self.mem.alloc(len * core::mem::size_of::<T>());
+        DeviceOutBuffer::zeroed_in(range, len)
     }
 
     /// Like [`Gpu::alloc_out`], registering the buffer for traffic
-    /// attribution.
+    /// attribution. A named range is never freed.
     pub fn alloc_out_named<T: OutScalar + Default>(
         &self,
         name: &str,
@@ -586,6 +589,72 @@ mod tests {
         });
         assert_eq!(stats.warps, 32);
         std::env::remove_var("RTDOSE_SIM_THREADS");
+    }
+
+    #[test]
+    fn repeated_call_cycles_leave_the_bump_pointer_unchanged() {
+        // One serving-loop call: upload an input, allocate an output,
+        // launch, read back, drop both buffers.
+        let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
+        let x: Vec<f64> = (0..3072).map(|i| i as f64).collect();
+        let call = || {
+            let dx = gpu.upload(&x);
+            let dy = gpu.alloc_out::<f64>(x.len());
+            let stats = gpu.launch(Grid::warp_per_item(x.len() / 32, 256), |w| {
+                let i = w.warp_id() * 32;
+                if i < x.len() {
+                    let v = w.load_span(&dx, i..i + 32);
+                    let doubled: Vec<f64> = v.iter().map(|v| 2.0 * v).collect();
+                    w.store_span(&dy, i, &doubled);
+                }
+            });
+            (dy.to_vec(), stats)
+        };
+        let (want, first) = call();
+        let bump = gpu.mem.bump_pointer();
+        let shards = gpu.mem.allocated_l2_shards();
+        for _ in 0..50 {
+            let (got, stats) = call();
+            assert_eq!(got, want);
+            // The recycled input range starts cold, like a fresh one.
+            assert_eq!(stats, first);
+        }
+        assert_eq!(gpu.mem.bump_pointer(), bump);
+        assert_eq!(gpu.mem.allocated_l2_shards(), shards);
+        assert_eq!(first.l2_read_misses, x.len() as u64 * 8 / 32);
+    }
+
+    #[test]
+    fn named_buffers_are_never_recycled() {
+        let gpu = Gpu::new(DeviceSpec::a100());
+        let named = gpu.upload_named("x", &[1.0f64; 100]);
+        let named_base = named.base_addr();
+        let out = gpu.alloc_out_named::<f64>("y", 100);
+        let out_base = out.base_addr();
+        drop((named, out));
+        let bump = gpu.mem.bump_pointer();
+        let x = gpu.upload(&[1.0f64; 100]);
+        let y = gpu.alloc_out::<f64>(100);
+        assert!(x.base_addr() >= bump && y.base_addr() > x.base_addr());
+        assert_ne!(x.base_addr(), named_base);
+        assert_ne!(y.base_addr(), out_base);
+    }
+
+    #[test]
+    fn gpu_made_after_a_drop_allocates_no_l2_shard() {
+        // Once one `Gpu` has been dropped the host allocator may serve
+        // large zeroed arrays from reused heap memory, so laziness must
+        // not rely on untouched pages: no shard exists until probed.
+        let first = Gpu::new(DeviceSpec::a100());
+        let buf = first.upload(&[0.5f64; 1 << 16]);
+        first.launch(Grid::new(64, 256), |w| {
+            w.load_scalar(&buf, w.warp_id() * 128);
+        });
+        assert!(first.mem.allocated_l2_shards() > 0);
+        drop(buf);
+        drop(first);
+        let second = Gpu::new(DeviceSpec::a100());
+        assert_eq!(second.mem.allocated_l2_shards(), 0);
     }
 
     #[test]

@@ -1,6 +1,18 @@
 //! The simulated global-memory system: address allocation plus traced
 //! access paths that drive the L2 model and the counters.
 //!
+//! Addresses come from a **freeing allocator**: [`MemSystem::alloc`]
+//! hands out an [`Allocation`], and dropping it (the per-call input and
+//! output buffers of every dose request) returns the range to the
+//! memory system's free list. The next allocation of the same padded
+//! size reuses the range before the bump pointer moves, so a serving loop
+//! that keeps its matrix resident and swaps vectors stays on the same
+//! addresses and L2 sets instead of sweeping the whole cache model. A
+//! reused range's sectors are invalidated in the L2 model first, so it
+//! starts cold, exactly as a fresh address would. Named ranges
+//! ([`MemSystem::alloc_named`]) are never returned, so the region table
+//! stays append-only and start-sorted.
+//!
 //! Traffic is accounted at **warp-access granularity**. Each access
 //! method models one warp-collective transaction list: the L2 is probed
 //! with the whole ordered sector batch ([`L2Cache::access_batch`]) and
@@ -17,7 +29,8 @@
 use crate::cache::{L2Cache, SECTOR_BYTES};
 use crate::counters::LocalCounters;
 use crate::device::DeviceSpec;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -79,12 +92,52 @@ fn locate(meta: &[RegionMeta], last: &std::cell::Cell<usize>, addr: u64) -> Opti
     }
 }
 
+/// Freed unnamed ranges, by padded size; each list is used last in,
+/// first out.
+type FreeList = Mutex<HashMap<u64, Vec<u64>>>;
+
+/// An unnamed device address range. Dropping it returns the range to the
+/// free list of the [`MemSystem`] that allocated it.
+#[derive(Debug)]
+pub struct Allocation {
+    base: u64,
+    padded: u64,
+    free: Arc<FreeList>,
+}
+
+impl Allocation {
+    /// Simulated base address of the range.
+    #[inline]
+    pub fn base(&self) -> u64 {
+        self.base
+    }
+}
+
+impl Drop for Allocation {
+    fn drop(&mut self) {
+        self.free
+            .lock()
+            .entry(self.padded)
+            .or_default()
+            .push(self.base);
+    }
+}
+
+/// Bytes an allocation of `bytes` occupies: 128-byte aligned plus one
+/// 128-byte guard.
+fn padded_size(bytes: usize) -> u64 {
+    (bytes as u64).div_ceil(128) * 128 + 128
+}
+
 /// Global memory: an address allocator and the shared L2 model.
 pub struct MemSystem {
     l2: L2Cache,
     next_addr: AtomicU64,
-    /// Named address ranges, sorted by start (the allocator is monotonic,
-    /// the list append-only). Holds the shared totals.
+    /// Ranges returned by dropped [`Allocation`]s, shared with them.
+    free: Arc<FreeList>,
+    /// Named address ranges, sorted by start (named ranges are always
+    /// bumped and never freed; the list is append-only). Holds the shared
+    /// totals.
     regions: RwLock<Vec<Region>>,
     /// Current metadata snapshot handed to workers; rebuilt on
     /// `alloc_named`, cloned (one `Arc` bump) per worker.
@@ -97,6 +150,7 @@ impl MemSystem {
             l2: L2Cache::new(spec.l2_bytes, spec.l2_ways),
             // Leave address 0 unused (null-ish); start aligned.
             next_addr: AtomicU64::new(4096),
+            free: Arc::default(),
             regions: RwLock::new(Vec::new()),
             snapshot: RwLock::new(Arc::new(Vec::new())),
         }
@@ -104,16 +158,33 @@ impl MemSystem {
 
     /// Reserves an address range for a buffer, 128-byte aligned (CUDA
     /// `cudaMalloc` alignment is 256; any sector-aligned base works for
-    /// the traffic model).
-    pub fn alloc(&self, bytes: usize) -> u64 {
-        let padded = (bytes as u64).div_ceil(128) * 128 + 128;
-        self.next_addr.fetch_add(padded, Ordering::Relaxed)
+    /// the traffic model). A freed range of the same padded size is
+    /// reused, its sectors invalidated in the L2 model so it starts cold;
+    /// otherwise the bump pointer advances.
+    pub fn alloc(&self, bytes: usize) -> Allocation {
+        let padded = padded_size(bytes);
+        let reused = self.free.lock().get_mut(&padded).and_then(Vec::pop);
+        let base = match reused {
+            Some(base) => {
+                self.l2
+                    .invalidate_sectors(base / SECTOR_BYTES..(base + padded) / SECTOR_BYTES);
+                base
+            }
+            None => self.next_addr.fetch_add(padded, Ordering::Relaxed),
+        };
+        Allocation {
+            base,
+            padded,
+            free: Arc::clone(&self.free),
+        }
     }
 
-    /// Like [`MemSystem::alloc`], additionally registering the range for
+    /// Reserves a fresh range that is never freed, registering it for
     /// traffic attribution under `name`.
     pub fn alloc_named(&self, bytes: usize, name: &str) -> u64 {
-        let base = self.alloc(bytes);
+        let base = self
+            .next_addr
+            .fetch_add(padded_size(bytes), Ordering::Relaxed);
         let mut regions = self.regions.write();
         regions.push(Region {
             meta: RegionMeta {
@@ -337,9 +408,21 @@ impl MemSystem {
         c.add(&c.dram_writeback_sectors, n);
     }
 
-    /// Cold-cache reset: every L2 shard gets fresh zeroed way arrays.
+    /// Cold-cache reset: every L2 shard drops its way arrays.
     pub fn invalidate_cache(&self) {
         self.l2.invalidate();
+    }
+
+    /// The next address the bump pointer would hand out.
+    #[cfg(test)]
+    pub(crate) fn bump_pointer(&self) -> u64 {
+        self.next_addr.load(Ordering::Relaxed)
+    }
+
+    /// Number of L2 shards with allocated way arrays.
+    #[cfg(test)]
+    pub(crate) fn allocated_l2_shards(&self) -> usize {
+        self.l2.allocated_shards()
     }
 }
 
@@ -359,18 +442,66 @@ mod tests {
     #[test]
     fn alloc_is_disjoint_and_aligned() {
         let m = mem();
-        let a = m.alloc(100);
-        let b = m.alloc(100);
+        let (a, b) = (m.alloc(100), m.alloc(100));
+        let (a, b) = (a.base(), b.base());
         assert_eq!(a % 128, 0);
         assert_eq!(b % 128, 0);
         assert!(b >= a + 128, "ranges must not overlap");
     }
 
     #[test]
+    fn freed_ranges_are_reused_before_the_bump_pointer_moves() {
+        let m = mem();
+        let cycle = || {
+            let (x, y) = (m.alloc(1000), m.alloc(4000));
+            let bases = (x.base(), y.base());
+            drop((x, y));
+            bases
+        };
+        let first = cycle();
+        let bump = m.bump_pointer();
+        for _ in 0..100 {
+            assert_eq!(cycle(), first);
+        }
+        assert_eq!(m.bump_pointer(), bump);
+        // Only an equal padded size is reused: a new size bumps.
+        let other = m.alloc(8000);
+        assert_eq!(other.base(), bump);
+        // Live ranges are never handed out twice.
+        let (x, y) = (m.alloc(1000), m.alloc(1000));
+        assert_ne!(x.base(), y.base());
+    }
+
+    #[test]
+    fn first_read_of_a_recycled_range_misses() {
+        let m = mem();
+        let range = m.alloc(1024);
+        let base = range.base();
+        let c = LocalCounters::default();
+        m.read_contiguous(base, 256, &c);
+        m.write_contiguous(base + 512, 64, &c);
+        m.read_contiguous(base, 256, &c); // warm
+        assert_eq!(stats(c).l2_read_hits, 8);
+        drop(range);
+        let range = m.alloc(1024);
+        assert_eq!(range.base(), base, "same size must reuse the range");
+        let c = LocalCounters::default();
+        m.read_contiguous(base, 256, &c);
+        m.flush_dirty(&c);
+        let s = stats(c);
+        assert_eq!((s.l2_read_hits, s.l2_read_misses), (0, 8));
+        assert_eq!(
+            s.dram_write_bytes, 0,
+            "dirty data of a freed range is dropped"
+        );
+    }
+
+    #[test]
     fn contiguous_read_counts_sectors() {
         let m = mem();
         let c = LocalCounters::default();
-        let base = m.alloc(1024);
+        let range = m.alloc(1024);
+        let base = range.base();
         // 128 bytes from a sector-aligned base = 4 sectors, all cold.
         m.read_contiguous(base, 128, &c);
         let s = stats(c);
@@ -383,7 +514,8 @@ mod tests {
     #[test]
     fn reread_hits() {
         let m = mem();
-        let base = m.alloc(1024);
+        let range = m.alloc(1024);
+        let base = range.base();
         let c1 = LocalCounters::default();
         m.read_contiguous(base, 128, &c1);
         let c2 = LocalCounters::default();
@@ -396,7 +528,8 @@ mod tests {
     #[test]
     fn unaligned_read_touches_extra_sector() {
         let m = mem();
-        let base = m.alloc(1024);
+        let range = m.alloc(1024);
+        let base = range.base();
         let c = LocalCounters::default();
         m.read_contiguous(base + 16, 32, &c); // straddles two sectors
         let s = stats(c);
@@ -406,7 +539,8 @@ mod tests {
     #[test]
     fn gather_coalesces_within_sector() {
         let m = mem();
-        let base = m.alloc(4096);
+        let range = m.alloc(4096);
+        let base = range.base();
         let c = LocalCounters::default();
         // 4 f64 lanes in the same 32-byte sector -> 1 transaction.
         let addrs: Vec<u64> = (0..4).map(|i| base + i * 8).collect();
@@ -419,7 +553,8 @@ mod tests {
     #[test]
     fn gather_scattered_pays_per_lane() {
         let m = mem();
-        let base = m.alloc(1 << 20);
+        let range = m.alloc(1 << 20);
+        let base = range.base();
         let c = LocalCounters::default();
         // 32 f16 lanes, each 1 KB apart -> 32 sectors for 64 useful bytes.
         let addrs: Vec<u64> = (0..32).map(|i| base + i * 1024).collect();
@@ -433,7 +568,8 @@ mod tests {
     #[test]
     fn writes_flush_to_dram() {
         let m = mem();
-        let base = m.alloc(4096);
+        let range = m.alloc(4096);
+        let base = range.base();
         let c = LocalCounters::default();
         m.write_contiguous(base, 256, &c);
         m.flush_dirty(&c);
@@ -445,7 +581,8 @@ mod tests {
     #[test]
     fn atomic_rmw_counts() {
         let m = mem();
-        let base = m.alloc(4096);
+        let range = m.alloc(4096);
+        let base = range.base();
         let c = LocalCounters::default();
         m.atomic_rmw(base, 8, &c);
         m.atomic_rmw(base, 8, &c); // second op hits in L2
@@ -459,7 +596,8 @@ mod tests {
     fn streaming_through_small_cache_rereads_from_dram() {
         let spec = DeviceSpec::a100().scaled_l2(10_000.0); // ~4 KB L2
         let m = MemSystem::new(&spec);
-        let base = m.alloc(1 << 16); // 64 KB stream
+        let range = m.alloc(1 << 16);
+        let base = range.base(); // 64 KB stream
         let c1 = LocalCounters::default();
         m.read_contiguous(base, 1 << 16, &c1);
         let c2 = LocalCounters::default();
@@ -481,6 +619,7 @@ mod attribution_tests {
         let a = m.alloc_named(1024, "values");
         let b = m.alloc_named(1024, "output");
         let anon = m.alloc(1024);
+        let anon = anon.base();
         let c = LocalCounters::default();
 
         m.read_contiguous(a, 256, &c); // 8 sectors
